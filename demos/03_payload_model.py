@@ -9,18 +9,18 @@ and 16-way operation, and the resulting 100-event node makespan.
 
 import numpy as np
 
-from backfillsim import (ContentionModel, EventDurationModel, SetupModel,
-                         SimJobSpec, job_makespans_batch, sample_event_durations,
-                         stream_rng)
+from backfillsim import (SetupModel, SimJobSpec, WorkloadConfig, job_makespans_batch,
+                         sample_event_durations, stream_rng)
 
-model = EventDurationModel.fit()
+workload = WorkloadConfig()  # the calibrated `workload` config defaults
+model = workload.payload_model
 rng = stream_rng(0, "demo")
 
 x = sample_event_durations(model, 100_000, rng)
 print(f"event durations: mean {x.mean()/60:.2f} min, "
       f"range [{x.min()/60:.1f}, {x.max()/60:.1f}] min")
 
-contention = ContentionModel()
+contention = workload.contention
 print(f"16-way slowdown over 8-way: {contention.slowdown(16):.3f} "
       f"(= 14.25/10.8)")
 m8 = model.sample(50_000, stream_rng(1, "c8")) * contention.scale(8, 16)

@@ -10,11 +10,13 @@ reports how much of the leftover capacity they captured.
 Takes about ten seconds.
 """
 
+from backfillsim import ScenarioConfig, resolve_config
 from backfillsim.metrics import consumed_core_hours
-from backfillsim.scenarios import _run_cluster, measured_utilization, resolve_config
+from backfillsim.scenarios import _run_cluster, measured_utilization
 from backfillsim.traces import trace_summary
 
-cfg = resolve_config({"scenario": "efficiency", "seed": 1, "horizon_days": 3})
+cfg = ScenarioConfig.from_dict(
+    resolve_config({"scenario": "efficiency", "seed": 1, "horizon_days": 3}))
 sim, cluster, ledger, background, poller, fleet, horizon = _run_cluster(
     cfg, with_brokers=True)
 
@@ -27,14 +29,14 @@ print(f"slot distribution seen by the poller: mean {stats['mean_nodes']:.0f} nod
 avail = ledger.core_hours((0, horizon), cluster.config.cores_per_node)
 used = consumed_core_hours(fleet.consumption, (0, horizon))
 print(f"\nbackfill availability: {avail/1e3:.0f}k core-hours")
-print(f"consumed by {cfg['broker']['n_brokers']} brokers: {used/1e3:.0f}k "
+print(f"consumed by {cfg.broker.n_brokers} brokers: {used/1e3:.0f}k "
       f"core-hours (efficiency {used/avail:.1%})")
 
 done = sum(b.payloads_done for b in fleet.bundles)
 failed = sum(b.payloads_failed for b in fleet.bundles)
 print(f"bundles: {len(fleet.bundles)}, payloads done: {done}, failed: {failed} "
       f"({failed/(done+failed):.1%})")
-print(f"events processed: {done * cfg['broker']['events_per_job']}")
+print(f"events processed: {done * cfg.broker.events_per_job}")
 
 sizes = sorted(b.nodes for b in fleet.bundles)
 print(f"bundle sizes: min {sizes[0]}, median {sizes[len(sizes)//2]}, "

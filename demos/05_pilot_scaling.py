@@ -11,18 +11,19 @@ and resubmission. Three experiment families:
 * strong scaling: a fixed 2048-task set across pilot sizes.
 """
 
-from backfillsim.scenarios import _run_one_pilot, resolve_config
+from backfillsim import ScenarioConfig, resolve_config
+from backfillsim.scenarios import _run_one_pilot
 
 for scenario in ("weak_scaling", "multi_generation", "strong_scaling"):
-    cfg = resolve_config({"scenario": scenario, "seed": 1})
-    p = cfg["pilot"]
-    print(f"\n== {scenario} (walltime {p['walltime_s']}s, "
-          f"{p['events_per_unit']} events/task)")
+    cfg = ScenarioConfig.from_dict(resolve_config({"scenario": scenario, "seed": 1}))
+    p = cfg.pilot
+    print(f"\n== {scenario} (walltime {p.walltime_s}s, "
+          f"{p.events_per_unit} events/task)")
     print(f"{'nodes':>6} {'tasks':>6} {'gens':>5} {'pilot_s':>9} "
           f"{'mean_task_s':>12} {'overhead_s':>11}")
-    for nodes in p["nodes_list"]:
-        n_units = p["units_total"] if p["units_total"] is not None \
-            else nodes * p["units_per_node"]
+    for nodes in p.nodes_list:
+        n_units = p.units_total if p.units_total is not None \
+            else nodes * p.units_per_node
         rep = _run_one_pilot(cfg, nodes, n_units)
         print(f"{nodes:>6} {n_units:>6} {rep.generations:>5} "
               f"{rep.duration_s:>9.0f} {rep.mean_task_s:>12.0f} "

@@ -11,16 +11,16 @@ fleet against it, and round-trips an SWF file.
 
 from pathlib import Path
 
-from backfillsim import (PollRecord, TraceJob, emit_poll_trace, emit_swf,
-                         ingest_poll_trace, ingest_swf, run_scenario,
+from backfillsim import (PollRecord, ScenarioConfig, TraceJob, emit_poll_trace, emit_swf,
+                         ingest_poll_trace, ingest_swf, resolve_config, run_scenario,
                          synthetic_slots, trace_summary)
-from backfillsim.scenarios import resolve_config
 
 out = Path("out")
 out.mkdir(exist_ok=True)
 
 # A synthetic slot trace fit to the production availability distribution.
-cfg = resolve_config({"scenario": "broker_vs_pilot", "compare": {"slots": 2000}})
+cfg = ScenarioConfig.from_dict(
+    resolve_config({"scenario": "broker_vs_pilot", "compare": {"slots": 2000}}))
 records = [PollRecord(t, n, w) for t, n, w in synthetic_slots(cfg)]
 trace_path = out / "synthetic_slots.csv"
 emit_poll_trace(trace_path, records)

@@ -9,19 +9,18 @@ from .scheduler import (BACKFILL, CAPABILITY, BackfillSlot, BatchJob, ClusterCon
                         SubmitError, UnknownJobError)
 from .workload import (BackgroundLoadProfile, ConstantDurationModel, ContentionModel,
                        EventDurationModel, IoProfile, SetupModel, SimJobSpec,
-                       UnitDurationModel, generate_background_jobs, job_makespan,
-                       job_makespans_batch, list_schedule_makespan,
+                       UnitDurationModel, WorkloadConfig, generate_background_jobs,
+                       job_makespan, job_makespans_batch, list_schedule_makespan,
                        sample_event_durations)
-from .broker import (Broker, BrokerConfig, BrokerFleet, Bundle, FailureModel,
-                     JobSource, MetricsPoller, StageModel, bundle_outcomes,
-                     fleet_efficiency)
-from .pilot import (AgentTimeline, OverheadModel, PilotDesc, PilotReport,
+from .broker import (Broker, BrokerConfig, BrokerFleet, Bundle, FailureMix, FailureModel,
+                     JobSource, MetricsPoller, bundle_outcomes, fleet_efficiency)
+from .pilot import (AgentTimeline, OverheadModel, PilotConfig, PilotDesc, PilotReport,
                     PilotRuntime, Unit, fill_units)
 from .metrics import (AvailabilityLedger, ConsumptionRecord, OutcomeRecord,
                       PollRecord, WindowReport, consumed_core_hours, month_windows,
                       total_backfill_availability, window_report)
 from .traces import (TraceFormatError, TraceJob, emit_poll_trace, emit_swf,
                      ingest_poll_trace, ingest_swf, trace_summary)
-from .config import ConfigError, DEFAULTS, config_hash, dump_defaults, load_config
-from .scenarios import (RunManifest, load_scenario_file, resolve_config,
-                        run_scenario, synthetic_slots)
+from .config import (DEFAULTS, ConfigError, ScenarioConfig, config_hash, dump_defaults,
+                     load_scenario_file, resolve_config)
+from .scenarios import RunManifest, run_scenario, synthetic_slots

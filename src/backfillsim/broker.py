@@ -20,42 +20,36 @@ import numpy as np
 from . import metrics
 from .scheduler import BACKFILL, BatchJob
 from .simcore import Simulation
-from .workload import (ContentionModel, IoProfile, SimJobSpec,
-                       job_makespans_batch)
+from .workload import IoProfile, SimJobSpec, WorkloadConfig, job_makespans_batch
 
 
-@dataclass(frozen=True)
-class StageModel:
-    """Transfer duration: constant plus per-gigabyte cost."""
-
-    base_s: float = 300.0
-    per_gb_s: float = 40.0
-
-    def duration(self, gb: float) -> int:
-        return max(1, int(math.ceil(self.base_s + self.per_gb_s * gb)))
+def transfer_seconds(base_s: float, per_gb_s: float, gb: float) -> int:
+    """Stage-in/out duration: constant plus per-gigabyte cost."""
+    return max(1, int(math.ceil(base_s + per_gb_s * gb)))
 
 
 @dataclass(frozen=True)
 class FailureModel:
-    payload_failure_prob: float = 0.136
-    cause_mix: tuple[tuple[str, float], ...] = (
-        ("broker", 0.19), ("dispatcher", 0.29), ("payload", 0.13), ("other", 0.39))
+    """Per-payload failure draw; `failure_mix` is (cause, share) pairs."""
+
+    failure_prob: float
+    failure_mix: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        if not 0 <= self.payload_failure_prob <= 1:
-            raise ValueError("failure probability must be in [0, 1]")
-        total = sum(w for _, w in self.cause_mix)
+        if not 0 <= self.failure_prob <= 1:
+            raise ValueError(f"failure_prob must be in [0, 1], got {self.failure_prob}")
+        total = sum(w for _, w in self.failure_mix)
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"cause mix must sum to 1, got {total}")
+            raise ValueError(f"failure_mix must sum to 1, got {total}")
 
     def draw_causes(self, n: int, rng: np.random.Generator) -> list[Optional[str]]:
         """None means the payload succeeded; otherwise the failure cause."""
-        failed = rng.random(n) < self.payload_failure_prob
+        failed = rng.random(n) < self.failure_prob
         causes: list[Optional[str]] = [None] * n
         idx = np.flatnonzero(failed)
         if len(idx):
-            names = [name for name, _ in self.cause_mix]
-            weights = np.array([w for _, w in self.cause_mix])
+            names = [name for name, _ in self.failure_mix]
+            weights = np.array([w for _, w in self.failure_mix])
             picks = rng.choice(len(names), size=len(idx), p=weights / weights.sum())
             for i, pick in zip(idx, picks):
                 causes[i] = names[pick]
@@ -63,7 +57,20 @@ class FailureModel:
 
 
 @dataclass(frozen=True)
+class FailureMix:
+    """Shares of failed payloads by cause: the `broker.failure_mix` keys."""
+
+    broker: float = 0.19
+    dispatcher: float = 0.29
+    payload: float = 0.13
+    other: float = 0.39
+
+
+@dataclass(frozen=True)
 class BrokerConfig:
+    """The `broker` config section. Construction checks the bundle shape
+    and builds the payload spec and failure model from it."""
+
     n_brokers: int = 20
     min_slot_walltime_s: int = 6300
     events_per_job: int = 100
@@ -72,17 +79,29 @@ class BrokerConfig:
     poll_interval_s: int = 540
     slots_per_node: int = 16
     sizing_policy: str = "fixed"  # "fixed" or "fit_walltime"
-    stage_in: StageModel = StageModel()
-    stage_out: StageModel = StageModel()
-    failure: FailureModel = FailureModel()
+    job_limit: Optional[int] = None  # finite job source when set
+    stage_in_base_s: float = 300.0
+    stage_in_per_gb_s: float = 40.0
+    stage_out_base_s: float = 300.0
+    stage_out_per_gb_s: float = 40.0
+    failure_prob: float = 0.136
+    failure_mix: FailureMix = field(default_factory=FailureMix)
+    job_spec: SimJobSpec = field(init=False, repr=False)
+    failure: FailureModel = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_brokers < 1:
-            raise ValueError("need at least one broker")
+            raise ValueError(f"n_brokers must be >= 1, got {self.n_brokers}")
         if self.min_nodes_per_bundle > self.max_nodes_per_bundle:
-            raise ValueError("bundle node floor exceeds ceiling")
+            raise ValueError("min_nodes_per_bundle must not exceed max_nodes_per_bundle")
         if self.sizing_policy not in ("fixed", "fit_walltime"):
-            raise ValueError(f"unknown sizing policy {self.sizing_policy!r}")
+            raise ValueError("sizing_policy must be 'fixed' or 'fit_walltime', "
+                             f"got {self.sizing_policy!r}")
+        object.__setattr__(self, "job_spec",
+                           SimJobSpec(self.events_per_job, self.slots_per_node))
+        # sorted, so the cause order (and with it every draw) is fixed
+        object.__setattr__(self, "failure", FailureModel(
+            self.failure_prob, tuple(sorted(vars(self.failure_mix).items()))))
 
 
 @dataclass
@@ -193,8 +212,9 @@ class Broker:
         # Inputs are staged before the slot is known, so the transfer covers
         # a full-size bundle's worth of payloads.
         per_node = float(self.fleet.io.read_gb_per_node.sample(1, self.rng)[0])
-        gb = per_node * self.fleet.cfg.max_nodes_per_bundle
-        delay = self.fleet.cfg.stage_in.duration(gb)
+        cfg = self.fleet.cfg
+        gb = per_node * cfg.max_nodes_per_bundle
+        delay = transfer_seconds(cfg.stage_in_base_s, cfg.stage_in_per_gb_s, gb)
         self.fleet.sim.schedule_in(delay, "broker_staged_in", self._poll, target=self._name)
 
     def _poll(self) -> None:
@@ -226,18 +246,19 @@ class Broker:
             self.fleet.sim.schedule_in(cfg.poll_interval_s, "broker_repoll",
                                        self._poll, target=self._name)
             return
-        events = cfg.events_per_job
+        workload = self.fleet.workload
+        spec = cfg.job_spec
         if cfg.sizing_policy == "fit_walltime":
-            mean_event = self.fleet.payload_model.mean()
-            budget = walltime - self.fleet.setup_s
+            mean_event = workload.payload_model.mean()
+            budget = walltime - workload.setup_s
             events = max(1, cfg.slots_per_node * int(budget // mean_event))
-        spec = SimJobSpec(events=events, slots_per_node=cfg.slots_per_node)
-        makespans = job_makespans_batch(nodes, spec, self.fleet.payload_model,
-                                        self.rng, contention=self.fleet.contention,
-                                        setup_s=self.fleet.setup_s)
+            spec = SimJobSpec(events=events, slots_per_node=cfg.slots_per_node)
+        makespans = job_makespans_batch(nodes, spec, workload.payload_model,
+                                        self.rng, contention=workload.contention,
+                                        setup_s=workload.setup_s)
         runtime = max(1, int(math.ceil(float(makespans.max()))))
         bundle = Bundle(id=f"bundle-{self.index}-{self._counter}", nodes=nodes,
-                        walltime=walltime, events_per_payload=events,
+                        walltime=walltime, events_per_payload=spec.events,
                         submit_time=self.fleet.sim.now, makespans=makespans)
         self._counter += 1
         self.bundle = bundle
@@ -261,8 +282,9 @@ class Broker:
         self.fleet.record_bundle(bundle)
         self.phase = self.STAGING_OUT
         per_node = float(self.fleet.io.written_gb_per_node.sample(1, self.rng)[0])
+        cfg = self.fleet.cfg
         gb = per_node * bundle.nodes
-        delay = self.fleet.cfg.stage_out.duration(gb)
+        delay = transfer_seconds(cfg.stage_out_base_s, cfg.stage_out_per_gb_s, gb)
         self.fleet.sim.schedule_in(delay, "broker_staged_out", self._cycle,
                                    target=self._name)
 
@@ -276,18 +298,14 @@ class BrokerFleet:
     """All brokers plus the shared ledgers they write."""
 
     def __init__(self, sim: Simulation, cluster, cfg: BrokerConfig,
-                 payload_model, setup_s: float = 265.0,
-                 contention: Optional[ContentionModel] = None,
-                 io_profile: Optional[IoProfile] = None,
+                 workload: WorkloadConfig, io_profile: Optional[IoProfile] = None,
                  source: Optional[JobSource] = None):
         self.sim = sim
         self.cluster = cluster
         self.cfg = cfg
-        self.payload_model = payload_model
-        self.setup_s = setup_s
-        self.contention = contention if contention is not None else ContentionModel()
+        self.workload = workload
         self.io = io_profile if io_profile is not None else IoProfile.default()
-        self.source = source if source is not None else JobSource()
+        self.source = source if source is not None else JobSource(cfg.job_limit)
         self.brokers = [Broker(self, i) for i in range(cfg.n_brokers)]
         self.sleeping: list[Broker] = []
         self.bundles: list[Bundle] = []
@@ -334,7 +352,7 @@ class BrokerFleet:
 class MetricsPoller:
     """Samples the backfill slot at a fixed cadence into a poll ledger."""
 
-    def __init__(self, sim: Simulation, cluster, interval_s: int = 60):
+    def __init__(self, sim: Simulation, cluster, interval_s: int):
         self.sim = sim
         self.cluster = cluster
         self.interval_s = interval_s

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import yaml
 
-from .config import ConfigError, dump_defaults
-from .scenarios import load_scenario_file, resolve_config, run_scenario
+from .config import ConfigError, dump_defaults, load_scenario_file, resolve_config
+from .scenarios import run_scenario
 from .traces import TraceFormatError, ingest_poll_trace, ingest_swf, trace_summary
 
 

@@ -1,114 +1,174 @@
-"""Scenario configuration: YAML key-value files over embedded defaults.
+"""Scenario configuration: one frozen-dataclass tree, read from YAML files.
+
+`ScenarioConfig` and its sections (`ClusterConfig`, `BackgroundLoadProfile`,
+`WorkloadConfig`, `BrokerConfig`, `PilotConfig`, ...) define every key
+once: the field name is the YAML key, the field default is the key's
+default, and the section's constructor holds its checks. `DEFAULTS`,
+`print-defaults` and unknown-key detection are derived from the tree.
 
 A scenario file sets only the knobs it changes; `extends: other.yaml`
-pulls in another file first (recursively), and everything falls back to
-`DEFAULTS`. `print-defaults` in the CLI dumps the full default tree.
+pulls in another file first (recursively). `resolve_config` layers
+DEFAULTS < scenario preset < the file and builds the tree from the result,
+so every check fires at load as a `ConfigError` naming its key.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import Optional
 
 import yaml
 
-DEFAULTS: dict = {
-    "scenario": "efficiency",
-    "seed": 1,
-    "horizon_days": 30,
-    "start_date": "2016-01-01",
-    "output_dir": "out",
-    "cluster": {
-        "total_nodes": 18688,
-        "cores_per_node": 16,
-        # [max nodes in band, walltime cap seconds]
-        "backfill_caps": [[3749, 7200], [2147483648, 86400]],
-        "capability_caps": [[2147483648, 86400]],
-    },
-    "background": {
-        # exactly one of: a synthetic profile (target_utilization > 0)
-        # or an SWF trace path
-        "target_utilization": 0.965,
-        "trace_path": None,
-        "size_mix": [[0.88, 1, 125], [0.09, 126, 312],
-                     [0.028, 313, 1500], [0.002, 1500, 6000]],
-        "runtime_mean_s": 10800.0,
-        "runtime_sigma": 1.0,
-        "runtime_min_s": 600,
-        "runtime_max_s": 85000,
-        "walltime_factor_lo": 1.2,
-        "walltime_factor_hi": 2.0,
-    },
-    "workload": {
-        "event_mean_s": 840.0,
-        "event_sigma": 0.7,
-        "event_min_s": 120.0,
-        "event_max_s": 2400.0,
-        "calibrated_at": 16,
-        "contention_mean_8way_s": 648.0,
-        "contention_mean_16way_s": 855.0,
-        "setup_fs": "readonly",          # "shared" or "readonly"
-        "setup_event_source": "ramdisk",  # "shared" or "ramdisk"
-    },
-    "broker": {
-        "n_brokers": 20,
-        "min_slot_walltime_s": 6300,
-        "events_per_job": 100,
-        "max_nodes_per_bundle": 300,
-        "min_nodes_per_bundle": 15,
-        "poll_interval_s": 540,
-        "slots_per_node": 16,
-        "sizing_policy": "fixed",
-        "job_limit": None,  # finite job source when set
-        "stage_in_base_s": 300.0,
-        "stage_in_per_gb_s": 40.0,
-        "stage_out_base_s": 300.0,
-        "stage_out_per_gb_s": 40.0,
-        "failure_prob": 0.136,
-        "failure_mix": {"broker": 0.19, "dispatcher": 0.29,
-                        "payload": 0.13, "other": 0.39},
-    },
-    "pilot": {
-        "bootstrap_s": 180.0,
-        "dispatch_per_unit_s": 0.015,
-        "launch_per_unit_s": 0.1,
-        "unit_mean_s": 4650.0,
-        "unit_sd_s": 19.0,
-        "events_per_unit": 100,
-        "walltime_s": 7200,
-        "nodes_list": [250, 500, 1000, 2000],
-        "units_per_node": 1,
-        "units_total": None,  # fixed total across sizes (strong scaling)
-        "queue": "capability",  # or "backfill"
-    },
-    "compare": {
-        # broker-versus-pilot consumption over one shared slot sequence
-        "slots": 150,
-        "slot_nodes_mean": 691.0,
-        "slot_nodes_sigma": 0.9,
-        "slot_walltime_mean_s": 7560.0,
-        "slot_walltime_sigma": 0.7,
-        "slot_interval_s": 600,
-    },
-    "replay": {
-        "trace_path": None,  # poll trace driving a replay run
-    },
-    "metrics": {
-        "poll_interval_s": 60,
-        "availability_credit": "rate",  # or "walltime"
-    },
-}
+from .broker import BrokerConfig
+from .pilot import PilotConfig
+from .scheduler import ClusterConfig
+from .workload import BackgroundLoadProfile, WorkloadConfig
 
 SCENARIOS = ("efficiency", "slot_calibration", "broker_count",
              "weak_scaling", "multi_generation", "strong_scaling",
              "broker_vs_pilot", "replay_efficiency")
+
+# Experiment-specific defaults layered between DEFAULTS and the user's file
+# (the default pilot section is the weak-scaling experiment's).
+_SMALL_UNITS = {"nodes_list": [256, 512, 1024, 2048], "events_per_unit": 16,
+                "unit_mean_s": 1200.0, "unit_sd_s": 5.0, "walltime_s": 10800}
+SCENARIO_PRESETS: dict[str, dict] = {
+    "weak_scaling": {"pilot": {"unit_sd_s": 4.0}},
+    "multi_generation": {"pilot": {**_SMALL_UNITS, "units_per_node": 5}},
+    "strong_scaling": {"pilot": {**_SMALL_UNITS, "units_total": 2048}},
+}
 
 
 class ConfigError(Exception):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("invalid configuration:\n  " + "\n  ".join(self.problems))
+
+
+@dataclass(frozen=True)
+class CompareConfig:
+    """Broker-versus-pilot consumption over one shared slot sequence."""
+
+    slots: int = 150
+    slot_nodes_mean: float = 691.0
+    slot_nodes_sigma: float = 0.9
+    slot_walltime_mean_s: float = 7560.0
+    slot_walltime_sigma: float = 0.7
+    slot_interval_s: int = 600
+
+
+@dataclass(frozen=True)
+class ReplayConfig:
+    trace_path: Optional[str] = None  # poll trace driving a replay run
+
+
+@dataclass(frozen=True)
+class MetricsConfig:
+    poll_interval_s: int = 60
+    availability_credit: str = "rate"  # or "walltime"
+
+    def __post_init__(self):
+        if self.availability_credit not in ("rate", "walltime"):
+            raise ValueError("availability_credit must be 'rate' or 'walltime', "
+                             f"got {self.availability_credit!r}")
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """A whole scenario: run settings plus one section per model."""
+
+    scenario: str = "efficiency"
+    seed: int = 1
+    horizon_days: float = 30
+    start_date: str = "2016-01-01"
+    output_dir: str = "out"
+    cluster: ClusterConfig = field(default_factory=ClusterConfig)
+    background: BackgroundLoadProfile = field(default_factory=BackgroundLoadProfile)
+    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
+    broker: BrokerConfig = field(default_factory=BrokerConfig)
+    pilot: PilotConfig = field(default_factory=PilotConfig)
+    compare: CompareConfig = field(default_factory=CompareConfig)
+    replay: ReplayConfig = field(default_factory=ReplayConfig)
+    metrics: MetricsConfig = field(default_factory=MetricsConfig)
+
+    def __post_init__(self):
+        if self.scenario not in SCENARIOS:
+            raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        if not isinstance(self.seed, int):
+            raise ValueError("seed must be an integer")
+        if not (isinstance(self.horizon_days, (int, float)) and self.horizon_days > 0):
+            raise ValueError("horizon_days must be positive")
+        bg = self.background
+        cluster_run = self.scenario in ("efficiency", "slot_calibration", "broker_count")
+        if cluster_run and bool(bg.target_utilization) == (bg.trace_path is not None):
+            raise ValueError("background: exactly one of target_utilization or "
+                             "trace_path must be set")
+        if self.scenario == "replay_efficiency" and self.replay.trace_path is None:
+            raise ValueError("replay: trace_path is required for the "
+                             "replay_efficiency scenario")
+
+    @classmethod
+    def from_dict(cls, cfg: dict) -> "ScenarioConfig":
+        """Build the tree from a resolved config, which must name every key;
+        raises `ConfigError` listing each problem found."""
+        problems: list[str] = []
+        built = _build(cls, cfg, "", problems)
+        if problems:
+            raise ConfigError(problems)
+        return built
+
+
+def _keys(cls) -> list:
+    return [f for f in fields(cls) if f.init]
+
+
+def _section_class(f):
+    return f.default_factory if is_dataclass(f.default_factory) else None
+
+
+def _build(cls, data, path: str, problems: list[str]):
+    """Construct `cls` from `data`, appending problems instead of raising.
+    Constructor errors are reported under the section's path."""
+    if not isinstance(data, dict):
+        problems.append(f"{path.rstrip('.')} must be a mapping, got {data!r}")
+        return None
+    keys = _keys(cls)
+    names = {f.name for f in keys}
+    problems.extend(f"unknown key {path + k!r}" for k in data if k not in names)
+    problems.extend(f"missing key {path + f.name!r}" for f in keys if f.name not in data)
+    before = len(problems)
+    kwargs = {}
+    for f in keys:
+        if f.name in data:
+            section = _section_class(f)
+            kwargs[f.name] = (data[f.name] if section is None else
+                              _build(section, data[f.name], f"{path}{f.name}.", problems))
+    if len(problems) > before:
+        return None
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        problems.append(f"{path.rstrip('.')}: {exc}" if path else str(exc))
+        return None
+
+
+def _defaults(cls) -> dict:
+    out = {}
+    for f in _keys(cls):
+        section = _section_class(f)
+        out[f.name] = _defaults(section) if section else _plain(f.default)
+    return out
+
+
+def _plain(value):
+    # YAML sequences load as lists, so defaults hold lists too
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
+DEFAULTS: dict = _defaults(ScenarioConfig)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -134,94 +194,19 @@ def _load_file(path: Path, seen: tuple = ()) -> dict:
     return _deep_merge(parent, raw)
 
 
-def load_config(path) -> dict:
-    """Read a scenario file (with extends) merged over the defaults."""
-    merged = _deep_merge(DEFAULTS, _load_file(Path(path).resolve()))
-    problems = validate_config(merged)
-    if problems:
-        raise ConfigError(problems)
-    return merged
+def resolve_config(user_raw: dict) -> dict:
+    """DEFAULTS < scenario preset < user overrides, checked by building the
+    config tree. Returns the plain dict that `config_hash` covers."""
+    scenario = user_raw.get("scenario", DEFAULTS["scenario"])
+    preset = SCENARIO_PRESETS.get(scenario, {})
+    cfg = _deep_merge(_deep_merge(DEFAULTS, preset), user_raw)
+    ScenarioConfig.from_dict(cfg)
+    return cfg
 
 
-def config_from_dict(overrides: dict) -> dict:
-    merged = _deep_merge(DEFAULTS, overrides)
-    problems = validate_config(merged)
-    if problems:
-        raise ConfigError(problems)
-    return merged
-
-
-def _unknown_keys(cfg: dict, schema: dict, prefix: str = "") -> list[str]:
-    problems = []
-    for key, value in cfg.items():
-        if key not in schema:
-            problems.append(f"unknown key {prefix + key!r}")
-        elif isinstance(schema[key], dict) and isinstance(value, dict):
-            problems.extend(_unknown_keys(value, schema[key], prefix + key + "."))
-    return problems
-
-
-def validate_config(cfg: dict) -> list[str]:
-    """Return a list of problems; empty means the config is usable."""
-    problems = _unknown_keys(cfg, DEFAULTS)
-
-    def require(cond: bool, message: str) -> None:
-        if not cond:
-            problems.append(message)
-
-    require(cfg.get("scenario") in SCENARIOS,
-            f"scenario must be one of {SCENARIOS}, got {cfg.get('scenario')!r}")
-    require(isinstance(cfg.get("seed"), int), "seed must be an integer")
-    require(isinstance(cfg.get("horizon_days"), (int, float)) and cfg["horizon_days"] > 0,
-            "horizon_days must be positive")
-    cluster = cfg.get("cluster", {})
-    require(cluster.get("total_nodes", 0) > 0, "cluster.total_nodes must be positive")
-    require(cluster.get("cores_per_node", 0) > 0, "cluster.cores_per_node must be positive")
-    for caps_key in ("backfill_caps", "capability_caps"):
-        for band in cluster.get(caps_key, []):
-            require(len(band) == 2 and band[1] > 0,
-                    f"cluster.{caps_key} entries must be [max_nodes, cap_s] with cap_s > 0")
-
-    bg = cfg.get("background", {})
-    synthetic = bg.get("target_utilization") not in (None, 0, 0.0)
-    trace = bg.get("trace_path") is not None
-    if cfg.get("scenario") in ("efficiency", "slot_calibration", "broker_count"):
-        require(synthetic != trace,
-                "background: exactly one of target_utilization or trace_path must be set")
-    if synthetic:
-        require(0 < bg["target_utilization"] < 1,
-                "background.target_utilization must be in (0, 1)")
-
-    broker = cfg.get("broker", {})
-    require(broker.get("n_brokers", 0) >= 1, "broker.n_brokers must be >= 1")
-    require(broker.get("min_nodes_per_bundle", 0) <= broker.get("max_nodes_per_bundle", 0),
-            "broker.min_nodes_per_bundle must not exceed max_nodes_per_bundle")
-    require(broker.get("sizing_policy") in ("fixed", "fit_walltime"),
-            "broker.sizing_policy must be 'fixed' or 'fit_walltime'")
-    mix = broker.get("failure_mix", {})
-    if mix:
-        total = sum(mix.values())
-        require(abs(total - 1.0) < 1e-9, f"broker.failure_mix must sum to 1, got {total}")
-
-    pilot = cfg.get("pilot", {})
-    require(pilot.get("walltime_s", 0) > 0, "pilot.walltime_s must be positive")
-    require(all(n >= 1 for n in pilot.get("nodes_list", [])),
-            "pilot.nodes_list entries must be >= 1")
-
-    workload = cfg.get("workload", {})
-    require(workload.get("setup_fs") in ("shared", "readonly"),
-            "workload.setup_fs must be 'shared' or 'readonly'")
-    require(workload.get("setup_event_source") in ("shared", "ramdisk"),
-            "workload.setup_event_source must be 'shared' or 'ramdisk'")
-
-    if cfg.get("scenario") == "replay_efficiency":
-        require(cfg.get("replay", {}).get("trace_path") is not None,
-                "replay.trace_path is required for the replay_efficiency scenario")
-
-    mcfg = cfg.get("metrics", {})
-    require(mcfg.get("availability_credit") in ("rate", "walltime"),
-            "metrics.availability_credit must be 'rate' or 'walltime'")
-    return problems
+def load_scenario_file(path) -> dict:
+    """Read a scenario file (following `extends`) and resolve it."""
+    return resolve_config(_load_file(Path(path).resolve()))
 
 
 def config_hash(cfg: dict) -> str:

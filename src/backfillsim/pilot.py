@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .scheduler import CAPABILITY, BatchJob
+from .scheduler import BACKFILL, CAPABILITY, BatchJob
 from .simcore import SimEvent, Simulation
 
 PENDING = "pending"
@@ -39,8 +39,42 @@ class OverheadModel:
     launch_per_unit_s: float = 0.1
 
     def __post_init__(self):
-        if min(self.bootstrap_s, self.dispatch_per_unit_s, self.launch_per_unit_s) < 0:
-            raise ValueError("overheads must be non-negative")
+        for f in fields(OverheadModel):
+            value = getattr(self, f.name)
+            if value < 0:
+                raise ValueError(f"{f.name} must be non-negative, got {value}")
+
+
+_QUEUES = {"capability": CAPABILITY, "backfill": BACKFILL}
+
+
+@dataclass(frozen=True)
+class PilotConfig(OverheadModel):
+    """The `pilot` config section: the agent's overheads plus the shape of
+    the pilot-scaling experiments (pilot sizes, units, queue)."""
+
+    unit_mean_s: float = 4650.0
+    unit_sd_s: float = 19.0
+    events_per_unit: int = 100
+    walltime_s: int = 7200
+    nodes_list: tuple[int, ...] = (250, 500, 1000, 2000)
+    units_per_node: int = 1
+    units_total: Optional[int] = None  # fixed total across sizes (strong scaling)
+    queue: str = "capability"  # or "backfill"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.walltime_s <= 0:
+            raise ValueError(f"walltime_s must be positive, got {self.walltime_s}")
+        if any(n < 1 for n in self.nodes_list):
+            raise ValueError("nodes_list entries must be >= 1")
+        object.__setattr__(self, "nodes_list", tuple(self.nodes_list))
+        if self.queue not in _QUEUES:
+            raise ValueError(f"queue must be one of {tuple(_QUEUES)}, got {self.queue!r}")
+
+    @property
+    def priority_class(self) -> str:
+        return _QUEUES[self.queue]
 
 
 @dataclass(frozen=True)

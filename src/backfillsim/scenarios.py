@@ -13,9 +13,8 @@ Each named scenario reproduces one experiment family:
   consumption over one shared slot sequence and seed.
 * ``replay_efficiency`` — broker fleet driven by an ingested poll trace.
 
-Scenario presets layer experiment-specific defaults (pilot sizes, task
-means, walltimes) between the global defaults and the user's file; the
-user file always wins.
+Runners take the `ScenarioConfig` tree built from a resolved config;
+`run_scenario` builds it from the plain dict that the manifest hashes.
 """
 
 from __future__ import annotations
@@ -24,42 +23,23 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .broker import BrokerConfig, BrokerFleet, FailureModel, JobSource, MetricsPoller, StageModel
-from .config import DEFAULTS, ConfigError, _deep_merge, _load_file, config_hash, validate_config
+from .broker import BrokerFleet, MetricsPoller
+from .config import ScenarioConfig, config_hash
 from .metrics import (AvailabilityLedger, month_windows,
                       total_backfill_availability, window_report, write_window_reports)
 from .pilot import AgentTimeline, OverheadModel, PilotDesc, PilotRuntime, Unit
 from .scheduler import BACKFILL, CAPABILITY, BatchJob, ClusterConfig, EasyBackfillScheduler, ReplayScheduler
 from .simcore import Simulation, stream_rng
 from .traces import emit_poll_trace, ingest_poll_trace, ingest_swf, trace_summary
-from .workload import (BackgroundLoadProfile, ContentionModel, EventDurationModel,
-                       SetupModel, SimJobSpec, UnitDurationModel,
-                       generate_background_jobs, job_makespans_batch)
-
-SCENARIO_PRESETS: dict[str, dict] = {
-    "weak_scaling": {
-        "pilot": {"nodes_list": [250, 500, 1000, 2000], "units_per_node": 1,
-                  "events_per_unit": 100, "unit_mean_s": 4650.0, "unit_sd_s": 4.0,
-                  "walltime_s": 7200},
-    },
-    "multi_generation": {
-        "pilot": {"nodes_list": [256, 512, 1024, 2048], "units_per_node": 5,
-                  "events_per_unit": 16, "unit_mean_s": 1200.0, "unit_sd_s": 5.0,
-                  "walltime_s": 10800},
-    },
-    "strong_scaling": {
-        "pilot": {"nodes_list": [256, 512, 1024, 2048], "units_total": 2048,
-                  "events_per_unit": 16, "unit_mean_s": 1200.0, "unit_sd_s": 5.0,
-                  "walltime_s": 10800},
-    },
-}
+from .workload import (BackgroundLoadProfile, UnitDurationModel, generate_background_jobs,
+                       job_makespans_batch)
 
 
 @dataclass
@@ -78,103 +58,19 @@ class RunManifest:
         }, indent=2, sort_keys=True)
 
 
-def resolve_config(user_raw: dict) -> dict:
-    """DEFAULTS < scenario preset < user overrides, then validation."""
-    scenario = _deep_merge(DEFAULTS, user_raw).get("scenario")
-    preset = SCENARIO_PRESETS.get(scenario, {})
-    cfg = _deep_merge(_deep_merge(DEFAULTS, preset), user_raw)
-    problems = validate_config(cfg)
-    if problems:
-        raise ConfigError(problems)
-    return cfg
-
-
-def load_scenario_file(path) -> dict:
-    return resolve_config(_load_file(Path(path).resolve()))
-
-
-# -- model builders ------------------------------------------------------------
-
-
-def _cluster_config(cfg: dict) -> ClusterConfig:
-    c = cfg["cluster"]
-    return ClusterConfig(
-        total_nodes=c["total_nodes"], cores_per_node=c["cores_per_node"],
-        backfill_caps=tuple((int(a), int(b)) for a, b in c["backfill_caps"]),
-        capability_caps=tuple((int(a), int(b)) for a, b in c["capability_caps"]))
-
-
-def _payload_model(cfg: dict) -> EventDurationModel:
-    w = cfg["workload"]
-    return EventDurationModel.fit(mean_s=w["event_mean_s"], sigma=w["event_sigma"],
-                                  lo=w["event_min_s"], hi=w["event_max_s"],
-                                  calibrated_at=w["calibrated_at"])
-
-
-def _contention(cfg: dict) -> ContentionModel:
-    w = cfg["workload"]
-    return ContentionModel(per_event_mean_8way_s=w["contention_mean_8way_s"],
-                           per_event_mean_16way_s=w["contention_mean_16way_s"])
-
-
-def _setup_seconds(cfg: dict) -> int:
-    w = cfg["workload"]
-    return SetupModel().setup_seconds(fs=w["setup_fs"],
-                                      event_source=w["setup_event_source"])
-
-
-def _broker_config(cfg: dict, n_brokers: int | None = None) -> BrokerConfig:
-    b = cfg["broker"]
-    mix = tuple(sorted(b["failure_mix"].items()))
-    return BrokerConfig(
-        n_brokers=n_brokers if n_brokers is not None else b["n_brokers"],
-        min_slot_walltime_s=b["min_slot_walltime_s"],
-        events_per_job=b["events_per_job"],
-        max_nodes_per_bundle=b["max_nodes_per_bundle"],
-        min_nodes_per_bundle=b["min_nodes_per_bundle"],
-        poll_interval_s=b["poll_interval_s"],
-        slots_per_node=b["slots_per_node"],
-        sizing_policy=b["sizing_policy"],
-        stage_in=StageModel(b["stage_in_base_s"], b["stage_in_per_gb_s"]),
-        stage_out=StageModel(b["stage_out_base_s"], b["stage_out_per_gb_s"]),
-        failure=FailureModel(b["failure_prob"], mix))
-
-
-def _overheads(cfg: dict) -> OverheadModel:
-    p = cfg["pilot"]
-    return OverheadModel(bootstrap_s=p["bootstrap_s"],
-                         dispatch_per_unit_s=p["dispatch_per_unit_s"],
-                         launch_per_unit_s=p["launch_per_unit_s"])
-
-
-def _background_profile(cfg: dict) -> BackgroundLoadProfile:
-    bg = cfg["background"]
-    return BackgroundLoadProfile(
-        target_utilization=bg["target_utilization"],
-        size_mix=tuple((float(w), int(lo), int(hi)) for w, lo, hi in bg["size_mix"]),
-        runtime_mean_s=bg["runtime_mean_s"], runtime_sigma=bg["runtime_sigma"],
-        runtime_min_s=bg["runtime_min_s"], runtime_max_s=bg["runtime_max_s"],
-        walltime_factor_lo=bg["walltime_factor_lo"],
-        walltime_factor_hi=bg["walltime_factor_hi"])
-
-
 # -- shared wiring --------------------------------------------------------------
 
 
 def _schedule_background(sim: Simulation, cluster: EasyBackfillScheduler,
-                         cfg: dict, horizon: int) -> list[BatchJob]:
-    bg = cfg["background"]
+                         bg: BackgroundLoadProfile, horizon: int) -> list[BatchJob]:
     total = cluster.config.total_nodes
     cap = cluster.config.cap_for(total, CAPABILITY)
     jobs: list[BatchJob] = []
-    if bg["trace_path"] is not None:
+    if bg.trace_path is not None:
         stream = ((j.submit, j.nodes, j.runtime, j.walltime)
-                  for j in ingest_swf(bg["trace_path"]) if j.submit < horizon)
+                  for j in ingest_swf(bg.trace_path) if j.submit < horizon)
     else:
-        profile = _background_profile(cfg)
-        if profile.target_utilization == 0:
-            return jobs
-        stream = generate_background_jobs(profile, horizon, sim.rng("background"),
+        stream = generate_background_jobs(bg, horizon, sim.rng("background"),
                                           total_nodes=total, capability_cap_s=cap)
     for submit, nodes, runtime, walltime in stream:
         nodes = min(nodes, total)
@@ -218,35 +114,32 @@ def _finish_manifest(cfg: dict, out_dir: Path, files: list[Path]) -> RunManifest
 # -- cluster scenarios -----------------------------------------------------------
 
 
-def _run_cluster(cfg: dict, with_brokers: bool, n_brokers: int | None = None):
+def _run_cluster(cfg: ScenarioConfig, with_brokers: bool, n_brokers: int | None = None):
     """Shared core of the efficiency-family scenarios."""
-    horizon = int(cfg["horizon_days"] * 86400)
-    sim = Simulation(seed=cfg["seed"])
-    cluster = EasyBackfillScheduler(sim, _cluster_config(cfg))
+    horizon = int(cfg.horizon_days * 86400)
+    sim = Simulation(seed=cfg.seed)
+    cluster = EasyBackfillScheduler(sim, cfg.cluster)
     ledger = AvailabilityLedger(sim, cluster)
-    background = _schedule_background(sim, cluster, cfg, horizon)
-    poller = MetricsPoller(sim, cluster, cfg["metrics"]["poll_interval_s"])
+    background = _schedule_background(sim, cluster, cfg.background, horizon)
+    poller = MetricsPoller(sim, cluster, cfg.metrics.poll_interval_s)
     poller.start(0)
     fleet = None
     if with_brokers:
-        source = JobSource(cfg["broker"]["job_limit"])
-        fleet = BrokerFleet(sim, cluster, _broker_config(cfg, n_brokers),
-                            payload_model=_payload_model(cfg),
-                            setup_s=_setup_seconds(cfg),
-                            contention=_contention(cfg), source=source)
+        broker = cfg.broker if n_brokers is None else replace(cfg.broker, n_brokers=n_brokers)
+        fleet = BrokerFleet(sim, cluster, broker, cfg.workload)
         fleet.start(0)
     sim.run_until(horizon)
     return sim, cluster, ledger, background, poller, fleet, horizon
 
 
-def _window_reports(cfg: dict, ledger, poller, fleet, horizon: int):
-    credit = cfg["metrics"]["availability_credit"]
-    interval = cfg["metrics"]["poll_interval_s"]
-    cores = cfg["cluster"]["cores_per_node"]
+def _window_reports(cfg: ScenarioConfig, ledger, poller, fleet, horizon: int):
+    credit = cfg.metrics.availability_credit
+    interval = cfg.metrics.poll_interval_s
+    cores = cfg.cluster.cores_per_node
     consumption = fleet.consumption if fleet else []
     outcomes = fleet.outcomes if fleet else []
     reports = []
-    for label, w0, w1 in month_windows(cfg["start_date"], horizon):
+    for label, w0, w1 in month_windows(cfg.start_date, horizon):
         if credit == "rate":
             avail = ledger.core_hours((w0, w1), cores)
         else:
@@ -258,7 +151,7 @@ def _window_reports(cfg: dict, ledger, poller, fleet, horizon: int):
     return reports
 
 
-def _efficiency_outputs(cfg: dict, out_dir: Path, sim, cluster, ledger, background,
+def _efficiency_outputs(cfg: ScenarioConfig, out_dir: Path, sim, cluster, ledger, background,
                         poller, fleet, horizon) -> list[Path]:
     files = []
     slots_path = out_dir / "slots.csv"
@@ -314,18 +207,18 @@ def _efficiency_outputs(cfg: dict, out_dir: Path, sim, cluster, ledger, backgrou
     return files
 
 
-def run_efficiency(cfg: dict, out_dir: Path) -> list[Path]:
+def run_efficiency(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     parts = _run_cluster(cfg, with_brokers=True)
     return _efficiency_outputs(cfg, out_dir, *parts)
 
 
-def run_slot_calibration(cfg: dict, out_dir: Path) -> list[Path]:
+def run_slot_calibration(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     parts = _run_cluster(cfg, with_brokers=False)
     return _efficiency_outputs(cfg, out_dir, *parts)
 
 
-def run_broker_count(cfg: dict, out_dir: Path) -> list[Path]:
-    counts = sorted({4, cfg["broker"]["n_brokers"]})
+def run_broker_count(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
+    counts = sorted({4, cfg.broker.n_brokers})
     rows = []
     for count in counts:
         sim, cluster, ledger, background, poller, fleet, horizon = _run_cluster(
@@ -344,36 +237,32 @@ def run_broker_count(cfg: dict, out_dir: Path) -> list[Path]:
 # -- pilot scaling scenarios -----------------------------------------------------
 
 
-def _run_one_pilot(cfg: dict, nodes: int, n_units: int) -> "PilotReport":
-    p = cfg["pilot"]
-    sim = Simulation(seed=cfg["seed"])
-    cluster_cfg = ClusterConfig(total_nodes=nodes,
-                                cores_per_node=cfg["cluster"]["cores_per_node"])
+def _run_one_pilot(cfg: ScenarioConfig, nodes: int, n_units: int) -> "PilotReport":
+    p = cfg.pilot
+    sim = Simulation(seed=cfg.seed)
+    cluster_cfg = ClusterConfig(total_nodes=nodes, cores_per_node=cfg.cluster.cores_per_node)
     cluster = EasyBackfillScheduler(sim, cluster_cfg)
-    unit_model = UnitDurationModel(p["unit_mean_s"], p["unit_sd_s"])
-    runtime = PilotRuntime(sim, cluster, _overheads(cfg), unit_model=unit_model,
-                           name=f"pilot-{nodes}")
-    queue_class = CAPABILITY if p["queue"] == "capability" else BACKFILL
-    pid = runtime.submit_pilot(PilotDesc(nodes=nodes, walltime=p["walltime_s"],
-                                         priority_class=queue_class))
-    units = [Unit(id=i, events=p["events_per_unit"]) for i in range(n_units)]
+    unit_model = UnitDurationModel(p.unit_mean_s, p.unit_sd_s)
+    runtime = PilotRuntime(sim, cluster, p, unit_model=unit_model, name=f"pilot-{nodes}")
+    pid = runtime.submit_pilot(PilotDesc(nodes=nodes, walltime=p.walltime_s,
+                                         priority_class=p.priority_class))
+    units = [Unit(id=i, events=p.events_per_unit) for i in range(n_units)]
     runtime.dispatch_units(pid, units)
     runtime.close(pid)
     sim.run()
     return runtime.pilot_report(pid)
 
 
-def run_pilot_scaling(cfg: dict, out_dir: Path) -> list[Path]:
-    p = cfg["pilot"]
-    scenario = cfg["scenario"]
+def run_pilot_scaling(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
+    p = cfg.pilot
     rows = []
-    for nodes in p["nodes_list"]:
-        if p["units_total"] is not None:
-            n_units = p["units_total"]
+    for nodes in p.nodes_list:
+        if p.units_total is not None:
+            n_units = p.units_total
         else:
-            n_units = nodes * p["units_per_node"]
+            n_units = nodes * p.units_per_node
         report = _run_one_pilot(cfg, nodes, n_units)
-        rows.append([scenario, nodes, n_units, report.generations,
+        rows.append([cfg.scenario, nodes, n_units, report.generations,
                      f"{report.duration_s:.3f}", f"{report.mean_task_s:.3f}",
                      f"{report.overhead_s:.3f}"])
     path = out_dir / "scaling.csv"
@@ -385,18 +274,18 @@ def run_pilot_scaling(cfg: dict, out_dir: Path) -> list[Path]:
 # -- broker versus pilot over one slot sequence ----------------------------------
 
 
-def synthetic_slots(cfg: dict) -> list[tuple[int, int, int]]:
+def synthetic_slots(cfg: ScenarioConfig) -> list[tuple[int, int, int]]:
     """(observed_at, nodes, walltime) slot sequence from the compare block."""
-    c = cfg["compare"]
-    rng = stream_rng(cfg["seed"], "compare-slots")
-    total = cfg["cluster"]["total_nodes"]
+    c = cfg.compare
+    rng = stream_rng(cfg.seed, "compare-slots")
+    total = cfg.cluster.total_nodes
     slots = []
-    for i in range(c["slots"]):
-        mu_n = math.log(c["slot_nodes_mean"]) - 0.5 * c["slot_nodes_sigma"] ** 2
-        nodes = int(np.clip(rng.lognormal(mu_n, c["slot_nodes_sigma"]), 1, total))
-        mu_w = math.log(c["slot_walltime_mean_s"]) - 0.5 * c["slot_walltime_sigma"] ** 2
-        walltime = int(np.clip(rng.lognormal(mu_w, c["slot_walltime_sigma"]), 60, 86400))
-        slots.append((i * c["slot_interval_s"], nodes, walltime))
+    for i in range(c.slots):
+        mu_n = math.log(c.slot_nodes_mean) - 0.5 * c.slot_nodes_sigma ** 2
+        nodes = int(np.clip(rng.lognormal(mu_n, c.slot_nodes_sigma), 1, total))
+        mu_w = math.log(c.slot_walltime_mean_s) - 0.5 * c.slot_walltime_sigma ** 2
+        walltime = int(np.clip(rng.lognormal(mu_w, c.slot_walltime_sigma), 60, 86400))
+        slots.append((i * c.slot_interval_s, nodes, walltime))
     return slots
 
 
@@ -423,36 +312,29 @@ def consume_slot_pilot(nodes: int, walltime: int, durations: np.ndarray,
     return nodes * cores * walltime / 3600.0, done
 
 
-def run_broker_vs_pilot(cfg: dict, out_dir: Path) -> list[Path]:
-    cluster_cfg = _cluster_config(cfg)
-    model = _payload_model(cfg)
-    contention = _contention(cfg)
-    setup = _setup_seconds(cfg)
-    overheads = _overheads(cfg)
-    b = cfg["broker"]
-    cores = cluster_cfg.cores_per_node
-    spec = SimJobSpec(events=b["events_per_job"], slots_per_node=b["slots_per_node"])
-    mean_payload = setup + model.mean() * b["events_per_job"] / b["slots_per_node"]
+def run_broker_vs_pilot(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
+    w, b = cfg.workload, cfg.broker
+    cores = cfg.cluster.cores_per_node
+    mean_payload = w.setup_s + w.payload_model.mean() * b.events_per_job / b.slots_per_node
     rows = []
     for i, (at, slot_nodes, slot_walltime) in enumerate(synthetic_slots(cfg)):
-        accepted = (slot_nodes >= b["min_nodes_per_bundle"]
-                    and slot_walltime >= b["min_slot_walltime_s"])
+        accepted = (slot_nodes >= b.min_nodes_per_bundle
+                    and slot_walltime >= b.min_slot_walltime_s)
         if not accepted:
             rows.append([i, at, slot_nodes, slot_walltime, 0, 0, 0,
                          "0.000", "0.000", 0, 0, 0])
             continue
-        nodes = min(slot_nodes, b["max_nodes_per_bundle"])
-        walltime = min(slot_walltime, cluster_cfg.cap_for(nodes, BACKFILL))
+        nodes = min(slot_nodes, b.max_nodes_per_bundle)
+        walltime = min(slot_walltime, cfg.cluster.cap_for(nodes, BACKFILL))
         generations = int(walltime / mean_payload) + 2
-        rng = stream_rng(cfg["seed"], f"compare-payloads-{i}")
-        pool = job_makespans_batch(nodes * generations, spec, model, rng,
-                                   contention=contention, setup_s=setup)
+        rng = stream_rng(cfg.seed, f"compare-payloads-{i}")
+        pool = job_makespans_batch(nodes * generations, b.job_spec, w.payload_model, rng,
+                                   contention=w.contention, setup_s=w.setup_s)
         pool = pool.reshape(generations, nodes)
         broker_ch, broker_done, held = consume_slot_broker(nodes, walltime,
                                                            pool[0], cores)
         pilot_ch, pilot_done = consume_slot_pilot(nodes, walltime, pool.ravel(),
-                                                  overheads, cores,
-                                                  b["events_per_job"])
+                                                  cfg.pilot, cores, b.events_per_job)
         residual = walltime - held
         rows.append([i, at, slot_nodes, slot_walltime, 1, nodes, walltime,
                      f"{broker_ch:.3f}", f"{pilot_ch:.3f}", broker_done,
@@ -469,27 +351,23 @@ def run_broker_vs_pilot(cfg: dict, out_dir: Path) -> list[Path]:
 # -- replay ----------------------------------------------------------------------
 
 
-def run_replay_efficiency(cfg: dict, out_dir: Path) -> list[Path]:
+def run_replay_efficiency(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     # Replayed records are stale snapshots of a world that never saw this
     # fleet, so availability is credited per record as nodes x cores x
     # walltime: each record is a rectangle the fleet can take at most once,
     # which keeps used <= avail by construction.
-    records = ingest_poll_trace(cfg["replay"]["trace_path"])
-    horizon = int(cfg["horizon_days"] * 86400)
-    sim = Simulation(seed=cfg["seed"])
-    cluster = ReplayScheduler(sim, records, _cluster_config(cfg))
-    source = JobSource(cfg["broker"]["job_limit"])
-    fleet = BrokerFleet(sim, cluster, _broker_config(cfg),
-                        payload_model=_payload_model(cfg),
-                        setup_s=_setup_seconds(cfg), contention=_contention(cfg),
-                        source=source)
+    records = ingest_poll_trace(cfg.replay.trace_path)
+    horizon = int(cfg.horizon_days * 86400)
+    sim = Simulation(seed=cfg.seed)
+    cluster = ReplayScheduler(sim, records, cfg.cluster)
+    fleet = BrokerFleet(sim, cluster, cfg.broker, cfg.workload)
     fleet.start(0)
     sim.run_until(horizon)
 
-    interval = cfg["metrics"]["poll_interval_s"]
-    cores = cfg["cluster"]["cores_per_node"]
+    interval = cfg.metrics.poll_interval_s
+    cores = cfg.cluster.cores_per_node
     reports = []
-    for label, w0, w1 in month_windows(cfg["start_date"], horizon):
+    for label, w0, w1 in month_windows(cfg.start_date, horizon):
         avail = total_backfill_availability(records, (w0, w1), interval, cores,
                                             credit="walltime")
         reports.append((label, window_report(records, fleet.consumption,
@@ -522,10 +400,8 @@ _RUNNERS = {
 
 def run_scenario(cfg: dict, base_dir: Path | str = ".") -> RunManifest:
     """Execute a resolved scenario config; returns the manifest of outputs."""
-    problems = validate_config(cfg)
-    if problems:
-        raise ConfigError(problems)
-    out_dir = Path(base_dir) / cfg["output_dir"]
+    tree = ScenarioConfig.from_dict(cfg)
+    out_dir = Path(base_dir) / tree.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = _RUNNERS[cfg["scenario"]](cfg, out_dir)
+    files = _RUNNERS[tree.scenario](tree, out_dir)
     return _finish_manifest(cfg, out_dir, files)

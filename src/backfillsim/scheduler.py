@@ -49,6 +49,17 @@ class ClusterConfig:
     backfill_caps: tuple[tuple[int, int], ...] = ((3749, 7200), (1 << 31, 86400))
     capability_caps: tuple[tuple[int, int], ...] = (((1 << 31), 86400),)
 
+    def __post_init__(self):
+        if self.total_nodes <= 0:
+            raise ValueError(f"total_nodes must be positive, got {self.total_nodes}")
+        if self.cores_per_node <= 0:
+            raise ValueError(f"cores_per_node must be positive, got {self.cores_per_node}")
+        for name in ("backfill_caps", "capability_caps"):
+            bands = getattr(self, name)
+            if any(len(band) != 2 or band[1] <= 0 for band in bands):
+                raise ValueError(f"{name} entries must be [max_nodes, cap_s] with cap_s > 0")
+            object.__setattr__(self, name, tuple((int(n), int(cap)) for n, cap in bands))
+
     def cap_for(self, nodes: int, priority_class: str) -> int:
         bands = self.backfill_caps if priority_class == BACKFILL else self.capability_caps
         for band_max, cap in bands:
@@ -108,6 +119,7 @@ class EasyBackfillScheduler:
         self.free_nodes = config.total_nodes
         self.queue: list[BatchJob] = []
         self.running: dict[str, BatchJob] = {}
+        self._queued_ids: set[str] = set()
         self.finished: list[BatchJob] = []
         self.backfill_nodes_held = 0
         self.strict_checks = strict_checks
@@ -137,12 +149,15 @@ class EasyBackfillScheduler:
                 f"{job.nodes}-node {job.priority_class} jobs")
         if job.runtime is not None and job.runtime < 1:
             raise SubmitError(f"runtime must be >= 1s when given, got {job.runtime}")
-        if job.id is None:
-            job.id = f"job-{self._submit_counter}"
+        job_id = job.id if job.id is not None else f"job-{self._submit_counter}"
+        if job_id in self.running or job_id in self._queued_ids:
+            raise SubmitError(f"job id {job_id!r} is already queued or running")
+        job.id = job_id
         job._seq = self._submit_counter
         self._submit_counter += 1
         job.submit_time = self.sim.now
         self.queue.append(job)
+        self._queued_ids.add(job.id)
         self._touch()
         self._request_pass()
         return job.id
@@ -231,7 +246,6 @@ class EasyBackfillScheduler:
                 dispatched.append(head)
                 continue
             res = self._head_reservation()
-            assert res is not None
             extra = self._extra_at_reservation(res)
             started = None
             for job in order[1:]:
@@ -249,10 +263,13 @@ class EasyBackfillScheduler:
         return dispatched
 
     def _dispatch(self, job: BatchJob) -> None:
+        if job.nodes > self.free_nodes:
+            raise AssertionError(f"capacity overcommitted: {job.id} needs {job.nodes} "
+                                 f"nodes, {self.free_nodes} free")
         self.queue.remove(job)
+        self._queued_ids.discard(job.id)
         job.start_time = self.sim.now
         self.free_nodes -= job.nodes
-        assert self.free_nodes >= 0, "capacity overcommitted"
         if job.priority_class == BACKFILL:
             self.backfill_nodes_held += job.nodes
         self.running[job.id] = job
@@ -366,8 +383,10 @@ class ReplayScheduler:
         return BackfillSlot(rec.nodes, rec.walltime, self.sim.now)
 
     def submit(self, job: BatchJob) -> str:
-        if job.id is None:
-            job.id = f"job-{self._submit_counter}"
+        job_id = job.id if job.id is not None else f"job-{self._submit_counter}"
+        if job_id in self.running:
+            raise SubmitError(f"job id {job_id!r} is already running")
+        job.id = job_id
         self._submit_counter += 1
         job.submit_time = job.start_time = self.sim.now
         self.running[job.id] = job

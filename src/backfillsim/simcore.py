@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -115,16 +116,7 @@ class Simulation:
 
     def run(self) -> SimTime:
         """Drain the queue completely."""
-        while self._queue:
-            ev = heapq.heappop(self._queue)
-            if ev.cancelled:
-                continue
-            self.now = ev.fire_at
-            if self.record_trace:
-                self.trace.append((ev.fire_at, ev.seq, ev.kind))
-            if ev.callback is not None:
-                ev.callback()
-        return self.now
+        return self.run_until(math.inf)
 
     @property
     def pending_events(self) -> int:

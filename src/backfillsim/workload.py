@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
-
-MINUTE = 60.0
 
 
 # ---------------------------------------------------------------------------
@@ -52,18 +50,20 @@ class EventDurationModel:
 
     mu: float
     sigma: float
-    lo: float = 2 * MINUTE
-    hi: float = 40 * MINUTE
-    calibrated_at: int = 16
+    lo: float
+    hi: float
+    calibrated_at: int
 
     @classmethod
-    def fit(cls, mean_s: float = 14 * MINUTE, sigma: float = 0.7,
-            lo: float = 2 * MINUTE, hi: float = 40 * MINUTE,
-            calibrated_at: int = 16) -> "EventDurationModel":
-        """Solve for the log-space location so the truncated mean is `mean_s`."""
-        if not lo < mean_s < hi:
-            raise ValueError(f"target mean {mean_s} outside bounds [{lo}, {hi}]")
-        f = lambda mu: _truncated_lognormal_mean(mu, sigma, lo, hi) - mean_s
+    def fit(cls, event_mean_s: float, event_sigma: float, event_min_s: float,
+            event_max_s: float, calibrated_at: int) -> "EventDurationModel":
+        """Solve for the log-space location so the truncated mean on
+        [event_min_s, event_max_s] is `event_mean_s`."""
+        lo, hi, sigma = event_min_s, event_max_s, event_sigma
+        if not lo < event_mean_s < hi:
+            raise ValueError(f"event_mean_s must lie strictly between event_min_s and "
+                             f"event_max_s ({lo}, {hi}), got {event_mean_s}")
+        f = lambda mu: _truncated_lognormal_mean(mu, sigma, lo, hi) - event_mean_s
         mu = brentq(f, math.log(lo), math.log(hi), xtol=1e-10)
         return cls(mu=mu, sigma=sigma, lo=lo, hi=hi, calibrated_at=calibrated_at)
 
@@ -117,11 +117,11 @@ class ContentionModel:
     ~32% over 8-way; intermediate concurrency interpolates linearly.
     """
 
-    per_event_mean_8way_s: float = 10.8 * MINUTE
-    per_event_mean_16way_s: float = 14.25 * MINUTE
+    contention_mean_8way_s: float
+    contention_mean_16way_s: float
 
     def slowdown(self, concurrency: int) -> float:
-        ratio = self.per_event_mean_16way_s / self.per_event_mean_8way_s
+        ratio = self.contention_mean_16way_s / self.contention_mean_8way_s
         if concurrency <= 8:
             return 1.0
         if concurrency >= 16:
@@ -146,14 +146,44 @@ class SetupModel:
     event_read_s: int = 1320
     ramdisk_event_read_s: int = 40
 
-    def setup_seconds(self, fs: str = "readonly", event_source: str = "ramdisk") -> int:
-        if fs not in ("shared", "readonly"):
-            raise ValueError(f"fs must be 'shared' or 'readonly', got {fs!r}")
-        if event_source not in ("shared", "ramdisk"):
-            raise ValueError(f"event_source must be 'shared' or 'ramdisk', got {event_source!r}")
-        setup = self.shared_fs_setup_s if fs == "shared" else self.readonly_fs_setup_s
-        read = self.event_read_s if event_source == "shared" else self.ramdisk_event_read_s
+    def setup_seconds(self, setup_fs: str, setup_event_source: str) -> int:
+        if setup_fs not in ("shared", "readonly"):
+            raise ValueError(f"setup_fs must be 'shared' or 'readonly', got {setup_fs!r}")
+        if setup_event_source not in ("shared", "ramdisk"):
+            raise ValueError("setup_event_source must be 'shared' or 'ramdisk', "
+                             f"got {setup_event_source!r}")
+        setup = self.shared_fs_setup_s if setup_fs == "shared" else self.readonly_fs_setup_s
+        read = self.event_read_s if setup_event_source == "shared" else self.ramdisk_event_read_s
         return setup + read
+
+
+@dataclass(frozen=True)
+class WorkloadConfig:
+    """The `workload` config section. Construction fits the payload's event
+    model and builds its contention and setup models, so a bad key fails
+    here rather than mid-run."""
+
+    event_mean_s: float = 840.0
+    event_sigma: float = 0.7
+    event_min_s: float = 120.0
+    event_max_s: float = 2400.0
+    calibrated_at: int = 16
+    contention_mean_8way_s: float = 648.0
+    contention_mean_16way_s: float = 855.0
+    setup_fs: str = "readonly"          # "shared" or "readonly"
+    setup_event_source: str = "ramdisk"  # "shared" or "ramdisk"
+    payload_model: EventDurationModel = field(init=False, repr=False)
+    contention: ContentionModel = field(init=False, repr=False)
+    setup_s: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "payload_model", EventDurationModel.fit(
+            self.event_mean_s, self.event_sigma, self.event_min_s, self.event_max_s,
+            self.calibrated_at))
+        object.__setattr__(self, "contention", ContentionModel(
+            self.contention_mean_8way_s, self.contention_mean_16way_s))
+        object.__setattr__(self, "setup_s", SetupModel().setup_seconds(
+            self.setup_fs, self.setup_event_source))
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +249,14 @@ class SimJobSpec:
     """One multi-process payload on one node: `events` tasks over
     `slots_per_node` concurrent workers."""
 
-    events: int = 100
-    slots_per_node: int = 16
+    events: int
+    slots_per_node: int
 
     def __post_init__(self):
         if self.events <= 0:
-            raise ValueError("events must be positive")
+            raise ValueError(f"events must be positive, got {self.events}")
         if self.slots_per_node not in (8, 16):
-            raise ValueError("slots_per_node must be 8 or 16")
+            raise ValueError(f"slots_per_node must be 8 or 16, got {self.slots_per_node}")
 
 
 def list_schedule_makespan(durations: np.ndarray, slots: int) -> float:
@@ -303,15 +333,18 @@ class UnitDurationModel:
 
 @dataclass(frozen=True)
 class BackgroundLoadProfile:
-    """Poisson stream of capability jobs sized to a target utilization.
+    """Poisson stream of capability jobs sized to a target utilization; the
+    `background` config section.
 
     `size_mix` gives (weight, lo, hi) node-count bands, log-uniform within
     each band. Runtimes are log-normal (clipped); requested walltime
     overestimates the runtime by a uniform factor, which is what makes the
-    scheduler's forward projections conservative.
+    scheduler's forward projections conservative. A `trace_path` names an
+    SWF job log that the cluster scenarios replay instead of the stream.
     """
 
-    target_utilization: float = 0.965
+    target_utilization: Optional[float] = 0.965
+    trace_path: Optional[str] = None
     size_mix: tuple[tuple[float, int, int], ...] = (
         (0.88, 1, 125),
         (0.09, 126, 312),
@@ -324,6 +357,13 @@ class BackgroundLoadProfile:
     runtime_max_s: int = 85000
     walltime_factor_lo: float = 1.2
     walltime_factor_hi: float = 2.0
+
+    def __post_init__(self):
+        u = self.target_utilization
+        if u and not 0 < u < 1:
+            raise ValueError(f"target_utilization must be in (0, 1), got {u}")
+        object.__setattr__(self, "size_mix", tuple((float(w), int(lo), int(hi))
+                                                   for w, lo, hi in self.size_mix))
 
     def mean_nodes(self) -> float:
         total = 0.0
@@ -353,10 +393,8 @@ def generate_background_jobs(profile: BackgroundLoadProfile, horizon_s: int,
     utilization: rate * E[nodes] * E[runtime] == target * total_nodes.
     """
     u = profile.target_utilization
-    if u == 0:
+    if not u:
         return
-    if not 0 < u < 1:
-        raise ValueError(f"target utilization must be in (0, 1), got {u}")
     work_per_job = profile.mean_nodes() * profile.mean_runtime()
     rate = u * total_nodes / work_per_job  # arrivals per second
     weights = np.array([w for w, _, _ in profile.size_mix])

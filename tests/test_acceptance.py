@@ -8,21 +8,22 @@ import time
 import numpy as np
 import pytest
 
-from backfillsim import (EventDurationModel, SimJobSpec,
-                         job_makespans_batch, stream_rng)
+from backfillsim import (ScenarioConfig, SimJobSpec, WorkloadConfig,
+                         job_makespans_batch, resolve_config, stream_rng)
 from backfillsim.metrics import month_windows
 from backfillsim.scenarios import (_run_cluster, _run_one_pilot, consume_slot_broker,
-                                   consume_slot_pilot, resolve_config, run_scenario,
-                                   synthetic_slots, _payload_model, _contention,
-                                   _setup_seconds, _overheads)
+                                   consume_slot_pilot, run_scenario, synthetic_slots)
 from backfillsim.traces import trace_summary
-from backfillsim.workload import ContentionModel
 
 from test_scheduler import assert_matches_oracle, honesty_trial
 
 SEED = 1
 FIG4_NODES = 691.0
 FIG4_WALLTIME_S = 126 * 60.0
+
+
+def resolved_tree(overrides):
+    return ScenarioConfig.from_dict(resolve_config(overrides))
 
 
 def check(criterion, ok, detail):
@@ -35,7 +36,7 @@ def check(criterion, ok, detail):
 
 @pytest.fixture(scope="session")
 def efficiency_month():
-    cfg = resolve_config({"scenario": "efficiency", "seed": SEED, "horizon_days": 30})
+    cfg = resolved_tree({"scenario": "efficiency", "seed": SEED, "horizon_days": 30})
     t0 = time.time()
     parts = _run_cluster(cfg, with_brokers=True)
     return cfg, parts, time.time() - t0
@@ -43,7 +44,7 @@ def efficiency_month():
 
 @pytest.fixture(scope="session")
 def efficiency_month_4brokers():
-    cfg = resolve_config({"scenario": "efficiency", "seed": SEED, "horizon_days": 30})
+    cfg = resolved_tree({"scenario": "efficiency", "seed": SEED, "horizon_days": 30})
     t0 = time.time()
     parts = _run_cluster(cfg, with_brokers=True, n_brokers=4)
     return cfg, parts, time.time() - t0
@@ -51,19 +52,19 @@ def efficiency_month_4brokers():
 
 @pytest.fixture(scope="session")
 def calibration_month():
-    cfg = resolve_config({"scenario": "slot_calibration", "seed": SEED,
-                          "horizon_days": 30})
+    cfg = resolved_tree({"scenario": "slot_calibration", "seed": SEED,
+                         "horizon_days": 30})
     parts = _run_cluster(cfg, with_brokers=False)
     return cfg, parts
 
 
 def scaling_reports(scenario):
-    cfg = resolve_config({"scenario": scenario, "seed": SEED})
-    p = cfg["pilot"]
+    cfg = resolved_tree({"scenario": scenario, "seed": SEED})
+    p = cfg.pilot
     reports = []
-    for nodes in p["nodes_list"]:
-        n_units = p["units_total"] if p["units_total"] is not None \
-            else nodes * p["units_per_node"]
+    for nodes in p.nodes_list:
+        n_units = p.units_total if p.units_total is not None \
+            else nodes * p.units_per_node
         reports.append((nodes, n_units, _run_one_pilot(cfg, nodes, n_units)))
     return cfg, reports
 
@@ -92,8 +93,8 @@ def test_criterion_02_showbf_honesty():
 
 
 def test_criterion_03_contention_ratio():
-    model = EventDurationModel.fit()
-    c = ContentionModel()
+    model = WorkloadConfig().payload_model
+    c = WorkloadConfig().contention
     m8 = model.sample(100_000, stream_rng(3, "acc-c8")) * c.scale(8, 16)
     m16 = model.sample(100_000, stream_rng(3, "acc-c16")) * c.scale(16, 16)
     ratio = m16.mean() / m8.mean()
@@ -104,7 +105,7 @@ def test_criterion_03_contention_ratio():
 
 def test_criterion_04_makespan():
     spec = SimJobSpec(events=100, slots_per_node=16)
-    model = EventDurationModel.fit()
+    model = WorkloadConfig().payload_model
     ms = job_makespans_batch(10_000, spec, model, stream_rng(4, "acc-makespan"))
     mean = ms.mean()
     check("criterion 4 (105-minute makespan)",
@@ -136,7 +137,7 @@ def test_criterion_06_efficiency_band(efficiency_month, calibration_month):
 
     cfg, (sim, cluster, ledger, bg, poller, fleet, horizon), wall = efficiency_month
     cores = cluster.config.cores_per_node
-    for label, w0, w1 in month_windows(cfg["start_date"], horizon):
+    for label, w0, w1 in month_windows(cfg.start_date, horizon):
         avail = ledger.core_hours((w0, w1), cores)
         used = sum(r.core_hours for r in fleet.consumption
                    if r.start < w1 and r.end > w0)
@@ -219,24 +220,24 @@ def test_criterion_10_strong_scaling():
 def test_criterion_11_pilot_vs_broker_consumption():
     t0 = time.time()
     # slots up to the full 24 h band make the multi-generation effect visible
-    cfg = resolve_config({"scenario": "broker_vs_pilot", "seed": SEED,
-                          "cluster": {"backfill_caps": [[2147483648, 86400]]},
-                          "compare": {"slots": 120}})
-    model = _payload_model(cfg)
-    contention = _contention(cfg)
-    setup = _setup_seconds(cfg)
-    overheads = _overheads(cfg)
-    b = cfg["broker"]
-    spec = SimJobSpec(events=b["events_per_job"], slots_per_node=b["slots_per_node"])
+    cfg = resolved_tree({"scenario": "broker_vs_pilot", "seed": SEED,
+                         "cluster": {"backfill_caps": [[2147483648, 86400]]},
+                         "compare": {"slots": 120}})
+    model = cfg.workload.payload_model
+    contention = cfg.workload.contention
+    setup = cfg.workload.setup_s
+    overheads = cfg.pilot
+    b = cfg.broker
+    spec = SimJobSpec(events=b.events_per_job, slots_per_node=b.slots_per_node)
     mean_task = setup + 6300.0  # mean payload duration at 16 slots
     cores = 16
     accepted = strict_due = strict_seen = 0
     for i, (at, slot_nodes, slot_walltime) in enumerate(synthetic_slots(cfg)):
-        if slot_nodes < b["min_nodes_per_bundle"] or \
-                slot_walltime < b["min_slot_walltime_s"]:
+        if slot_nodes < b.min_nodes_per_bundle or \
+                slot_walltime < b.min_slot_walltime_s:
             continue
         accepted += 1
-        nodes = min(slot_nodes, b["max_nodes_per_bundle"])
+        nodes = min(slot_nodes, b.max_nodes_per_bundle)
         walltime = min(slot_walltime, 86400)
         gens = int(walltime / mean_task) + 2
         rng = stream_rng(SEED, f"acc-compare-{i}")
@@ -245,7 +246,7 @@ def test_criterion_11_pilot_vs_broker_consumption():
         pool = pool.reshape(gens, nodes)
         broker_ch, _, held = consume_slot_broker(nodes, walltime, pool[0], cores)
         pilot_ch, _ = consume_slot_pilot(nodes, walltime, pool.ravel(), overheads,
-                                         cores, b["events_per_job"])
+                                         cores, b.events_per_job)
         assert pilot_ch >= broker_ch
         if walltime - held >= mean_task:
             strict_due += 1

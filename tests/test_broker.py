@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from backfillsim import (BrokerConfig, BrokerFleet, ClusterConfig,
-                         EasyBackfillScheduler, EventDurationModel, FailureModel,
-                         JobSource, ReplayScheduler, Simulation, bundle_outcomes,
+                         EasyBackfillScheduler, FailureModel, JobSource,
+                         ReplayScheduler, Simulation, WorkloadConfig, bundle_outcomes,
                          fleet_efficiency, stream_rng)
 from backfillsim.metrics import ConsumptionRecord, PollRecord
 
-MODEL = EventDurationModel.fit()
+WORKLOAD = WorkloadConfig()  # setup_s 265, contention at the calibrated means
+MODEL = WORKLOAD.payload_model
 UNCAPPED = ClusterConfig(total_nodes=18688, cores_per_node=16,
                          backfill_caps=((1 << 31, 86400),),
                          capability_caps=((1 << 31, 86400),))
@@ -16,8 +17,8 @@ UNCAPPED = ClusterConfig(total_nodes=18688, cores_per_node=16,
 def replay_fleet(records, cfg=None, cluster_cfg=UNCAPPED, seed=1, source=None):
     sim = Simulation(seed=seed)
     cluster = ReplayScheduler(sim, [PollRecord(*r) for r in records], cluster_cfg)
-    fleet = BrokerFleet(sim, cluster, cfg or BrokerConfig(n_brokers=1),
-                        payload_model=MODEL, setup_s=265.0, source=source)
+    fleet = BrokerFleet(sim, cluster, cfg or BrokerConfig(n_brokers=1), WORKLOAD,
+                        source=source)
     fleet.start(0)
     return sim, cluster, fleet
 
@@ -108,20 +109,20 @@ def test_finite_source_puts_brokers_to_sleep_and_add_work_wakes():
 
 
 def test_zero_failure_probability_all_done():
-    model = FailureModel(payload_failure_prob=0.0)
+    model = BrokerConfig(failure_prob=0.0).failure
     makespans = np.full(50, 1000.0)
     outcomes = bundle_outcomes(makespans, 2000.0, model, stream_rng(0, "f"))
     assert outcomes == [None] * 50
 
 
 def test_certain_failure_all_failed():
-    model = FailureModel(payload_failure_prob=1.0)
+    model = BrokerConfig(failure_prob=1.0).failure
     outcomes = bundle_outcomes(np.full(50, 1000.0), 2000.0, model, stream_rng(0, "f"))
     assert all(o is not None for o in outcomes)
 
 
 def test_failure_rate_converges():
-    model = FailureModel()
+    model = BrokerConfig().failure
     outcomes = bundle_outcomes(np.full(100_000, 10.0), 20.0, model,
                                stream_rng(1, "rate"))
     frac = sum(o is not None for o in outcomes) / len(outcomes)
@@ -129,16 +130,16 @@ def test_failure_rate_converges():
 
 
 def test_cause_mix_converges():
-    model = FailureModel(payload_failure_prob=1.0)
+    model = BrokerConfig(failure_prob=1.0).failure
     outcomes = bundle_outcomes(np.full(100_000, 10.0), 20.0, model,
                                stream_rng(2, "mix"))
-    for cause, weight in model.cause_mix:
+    for cause, weight in model.failure_mix:
         frac = sum(o == cause for o in outcomes) / len(outcomes)
         assert abs(frac - weight) < 0.01
 
 
 def test_walltime_cutoff_marks_unfinished_payloads():
-    model = FailureModel(payload_failure_prob=0.0)
+    model = BrokerConfig(failure_prob=0.0).failure
     makespans = np.array([500.0, 1500.0, 800.0])
     outcomes = bundle_outcomes(makespans, 1000.0, model, stream_rng(0, "w"))
     assert outcomes == [None, "walltime", None]
@@ -154,7 +155,7 @@ def test_every_payload_has_exactly_one_outcome():
 
 def test_failure_mix_must_sum_to_one():
     with pytest.raises(ValueError):
-        FailureModel(cause_mix=(("a", 0.5), ("b", 0.6)))
+        FailureModel(failure_prob=0.1, failure_mix=(("a", 0.5), ("b", 0.6)))
 
 
 # -- efficiency ------------------------------------------------------------------
@@ -179,8 +180,7 @@ def test_bundle_start_triggers_on_live_cluster():
     # a broker against the real scheduler: reported slot starts immediately
     sim = Simulation(seed=3)
     cluster = EasyBackfillScheduler(sim, ClusterConfig())
-    fleet = BrokerFleet(sim, cluster, BrokerConfig(n_brokers=2),
-                        payload_model=MODEL, setup_s=265.0)
+    fleet = BrokerFleet(sim, cluster, BrokerConfig(n_brokers=2), WORKLOAD)
     fleet.start(0)
     sim.run_until(30_000)
     assert fleet.bundles or any(b.bundle for b in fleet.brokers)

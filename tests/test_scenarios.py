@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from backfillsim import emit_poll_trace, run_scenario, synthetic_slots
-from backfillsim.scenarios import resolve_config
+from backfillsim import (ScenarioConfig, emit_poll_trace, resolve_config, run_scenario,
+                         synthetic_slots)
 
 
 def read_csv(path):
@@ -50,7 +50,7 @@ def test_same_config_and_seed_reproduce_identical_manifests(tmp_path):
 
 
 def test_synthetic_slot_sequence_is_deterministic():
-    cfg = resolve_config({"scenario": "broker_vs_pilot"})
+    cfg = ScenarioConfig.from_dict(resolve_config({"scenario": "broker_vs_pilot"}))
     assert synthetic_slots(cfg) == synthetic_slots(cfg)
 
 
@@ -90,7 +90,7 @@ def test_efficiency_scenario_short_run(tmp_path):
 
 
 def test_replay_efficiency_consumes_a_trace(tmp_path):
-    cfg = resolve_config({"scenario": "broker_vs_pilot"})
+    cfg = ScenarioConfig.from_dict(resolve_config({"scenario": "broker_vs_pilot"}))
     slots = synthetic_slots(cfg)
     trace = tmp_path / "trace.csv"
     from backfillsim import PollRecord
@@ -118,9 +118,9 @@ def test_invalid_scenario_config_is_rejected(tmp_path):
 def test_background_generator_hits_utilization_target(tmp_path):
     # 30 simulated days at a 0.90 target must land within +/-0.03 measured
     from backfillsim.scenarios import _run_cluster, measured_utilization
-    cfg = resolve_config({"scenario": "slot_calibration", "seed": 5,
-                          "horizon_days": 30,
-                          "background": {"target_utilization": 0.90}})
+    cfg = ScenarioConfig.from_dict(resolve_config(
+        {"scenario": "slot_calibration", "seed": 5, "horizon_days": 30,
+         "background": {"target_utilization": 0.90}}))
     sim, cluster, ledger, background, poller, fleet, horizon = _run_cluster(
         cfg, with_brokers=False)
     util = measured_utilization(background, cluster.config.total_nodes, horizon)
@@ -129,7 +129,8 @@ def test_background_generator_hits_utilization_target(tmp_path):
 
 def test_synthetic_slot_trace_matches_production_means(tmp_path):
     from backfillsim import PollRecord, ingest_poll_trace
-    cfg = resolve_config({"scenario": "broker_vs_pilot", "compare": {"slots": 20000}})
+    cfg = ScenarioConfig.from_dict(resolve_config({"scenario": "broker_vs_pilot",
+                                                   "compare": {"slots": 20000}}))
     slots = synthetic_slots(cfg)
     trace = tmp_path / "fig4_fit.csv"
     emit_poll_trace(trace, [PollRecord(t, n, w) for t, n, w in slots])

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import backfillsim
 from backfillsim import (BACKFILL, CAPABILITY, BatchJob, ClusterConfig,
                          EasyBackfillScheduler, ReplayScheduler, Simulation,
                          SubmitError, UnknownJobError)
@@ -284,3 +290,53 @@ def test_terminate_rejects_mismatched_time():
     sim.run_until(0)
     with pytest.raises(ValueError):
         sched.terminate("j", at=50)
+
+
+def test_duplicate_job_id_rejected_before_any_state_changes():
+    # Two queued jobs both named "a" used to share one running entry: the
+    # first one's end deleted the second's, leaking its 4 nodes, and the
+    # second's end event then died with KeyError.
+    sim, sched = make(total_nodes=10)
+    sched.submit(BatchJob(nodes=2, walltime=100, runtime=100, id="a"))
+    with pytest.raises(SubmitError, match="'a'"):
+        sched.submit(BatchJob(nodes=4, walltime=100, runtime=50, id="a"))
+    assert [j.nodes for j in sched.queue] == [2]
+    sim.run_until(0)
+    with pytest.raises(SubmitError, match="'a'"):  # and while it runs
+        sched.submit(BatchJob(nodes=4, walltime=100, runtime=50, id="a"))
+    assert (sched.free_nodes, list(sched.running), sched.queue) == (8, ["a"], [])
+    sim.run()
+    assert (sched.free_nodes, sched.running) == (10, {})
+    sched.submit(BatchJob(nodes=4, walltime=100, runtime=50, id="a"))  # id free again
+
+
+def test_replay_rejects_duplicate_running_id():
+    sim = Simulation()
+    replay = ReplayScheduler(sim, [])
+    replay.submit(BatchJob(nodes=2, walltime=100, runtime=100, id="a",
+                           priority_class=BACKFILL))
+    with pytest.raises(SubmitError, match="'a'"):
+        replay.submit(BatchJob(nodes=4, walltime=100, runtime=50, id="a",
+                               priority_class=BACKFILL))
+    assert (list(replay.running), replay.backfill_nodes_held) == (["a"], 2)
+    sim.run()
+    assert (replay.running, replay.backfill_nodes_held) == ({}, 0)
+
+
+def test_overcommit_check_survives_python_optimize_flag():
+    code = (
+        "from backfillsim import BatchJob, ClusterConfig, EasyBackfillScheduler, Simulation\n"
+        "sched = EasyBackfillScheduler(Simulation(), ClusterConfig(total_nodes=4))\n"
+        "job = BatchJob(nodes=5, walltime=100, runtime=100, id='big')\n"
+        "sched.queue.append(job)\n"
+        "try:\n"
+        "    sched._dispatch(job)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+        "else:\n"
+        "    print('dispatched; free nodes', sched.free_nodes)\n")
+    src = Path(backfillsim.__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                            text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout.startswith("raised: capacity overcommitted"), result.stdout

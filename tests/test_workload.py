@@ -8,13 +8,13 @@ from scipy import integrate
 from scipy.stats import lognorm
 
 from backfillsim import (BackgroundLoadProfile, ConstantDurationModel,
-                         ContentionModel, EventDurationModel, IoProfile,
-                         SetupModel, SimJobSpec, generate_background_jobs,
-                         job_makespan, job_makespans_batch,
+                         IoProfile, SetupModel, SimJobSpec, WorkloadConfig,
+                         generate_background_jobs, job_makespan, job_makespans_batch,
                          list_schedule_makespan, sample_event_durations,
                          stream_rng)
 
-MODEL = EventDurationModel.fit()
+WORKLOAD = WorkloadConfig()
+MODEL = WORKLOAD.payload_model
 
 
 def test_single_sample_within_model_bounds():
@@ -60,7 +60,7 @@ def test_scaled_model_scales_mean_and_bounds():
 
 
 def test_contention_baseline_and_ratio():
-    c = ContentionModel()
+    c = WORKLOAD.contention
     assert c.slowdown(8) == 1.0
     assert c.slowdown(1) == 1.0
     assert c.slowdown(16) == pytest.approx(14.25 / 10.8)
@@ -68,13 +68,13 @@ def test_contention_baseline_and_ratio():
 
 
 def test_contention_monotone_non_decreasing():
-    c = ContentionModel()
+    c = WORKLOAD.contention
     values = [c.slowdown(k) for k in range(1, 33)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_simulated_contention_ratio_within_one_percent():
-    c = ContentionModel()
+    c = WORKLOAD.contention
     scale8 = c.scale(8, MODEL.calibrated_at)
     scale16 = c.scale(16, MODEL.calibrated_at)
     m8 = MODEL.sample(100_000, stream_rng(2, "c8")) * scale8
@@ -132,7 +132,7 @@ def test_sample_requires_positive_count():
 
 def test_job_spec_validation():
     with pytest.raises(ValueError):
-        SimJobSpec(events=0)
+        SimJobSpec(events=0, slots_per_node=16)
     with pytest.raises(ValueError):
         SimJobSpec(events=10, slots_per_node=4)
 
@@ -142,11 +142,11 @@ def test_job_spec_validation():
 
 def test_setup_modes():
     s = SetupModel()
-    assert s.setup_seconds(fs="shared", event_source="shared") == 6300 + 1320
-    assert s.setup_seconds(fs="readonly", event_source="ramdisk") == 225 + 40
+    assert s.setup_seconds(setup_fs="shared", setup_event_source="shared") == 6300 + 1320
+    assert s.setup_seconds(setup_fs="readonly", setup_event_source="ramdisk") == 225 + 40
     assert s.readonly_fs_setup_s < s.shared_fs_setup_s
     with pytest.raises(ValueError):
-        s.setup_seconds(fs="nfs")
+        s.setup_seconds(setup_fs="nfs", setup_event_source="ramdisk")
 
 
 def test_io_profile_means_and_clipping():
@@ -179,9 +179,8 @@ def test_zero_target_yields_empty_stream():
 
 
 def test_invalid_target_rejected():
-    profile = BackgroundLoadProfile(target_utilization=1.5)
-    with pytest.raises(ValueError):
-        list(generate_background_jobs(profile, 86400, stream_rng(0, "bg")))
+    with pytest.raises(ValueError, match="target_utilization"):
+        BackgroundLoadProfile(target_utilization=1.5)
 
 
 def test_background_stream_deterministic():
