@@ -9,14 +9,13 @@ and 16-way operation, and the resulting 100-event node makespan.
 
 import numpy as np
 
-from backfillsim import (SetupModel, SimJobSpec, WorkloadConfig, job_makespans_batch,
-                         sample_event_durations, stream_rng)
+from backfillsim import SetupModel, SimJobSpec, WorkloadConfig, job_makespans_batch, stream_rng
 
 workload = WorkloadConfig()  # the calibrated `workload` config defaults
 model = workload.payload_model
 rng = stream_rng(0, "demo")
 
-x = sample_event_durations(model, 100_000, rng)
+x = model.sample(100_000, rng)
 print(f"event durations: mean {x.mean()/60:.2f} min, "
       f"range [{x.min()/60:.1f}, {x.max()/60:.1f}] min")
 

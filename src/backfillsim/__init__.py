@@ -7,15 +7,13 @@ from .simcore import CausalityError, SimEvent, Simulation, stream_rng
 from .scheduler import (BACKFILL, CAPABILITY, BackfillSlot, BatchJob, ClusterConfig,
                         EasyBackfillScheduler, ReplayScheduler, Reservation,
                         SubmitError, UnknownJobError)
-from .workload import (BackgroundLoadProfile, ConstantDurationModel, ContentionModel,
-                       EventDurationModel, IoProfile, SetupModel, SimJobSpec,
-                       UnitDurationModel, WorkloadConfig, generate_background_jobs,
-                       job_makespan, job_makespans_batch, list_schedule_makespan,
-                       sample_event_durations)
+from .workload import (BackgroundLoadProfile, ContentionModel, EventDurationModel,
+                       IoProfile, SetupModel, SimJobSpec, UnitDurationModel, WorkloadConfig,
+                       generate_background_jobs, job_makespans_batch)
 from .broker import (Broker, BrokerConfig, BrokerFleet, Bundle, FailureMix, FailureModel,
-                     JobSource, MetricsPoller, bundle_outcomes, fleet_efficiency)
+                     JobSource, MetricsPoller, bundle_outcomes)
 from .pilot import (AgentTimeline, OverheadModel, PilotConfig, PilotDesc, PilotReport,
-                    PilotRuntime, Unit, fill_units)
+                    PilotRuntime, Unit)
 from .metrics import (AvailabilityLedger, ConsumptionRecord, OutcomeRecord,
                       PollRecord, WindowReport, consumed_core_hours, month_windows,
                       total_backfill_availability, window_report)

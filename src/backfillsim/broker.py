@@ -136,19 +136,6 @@ def bundle_outcomes(makespans: np.ndarray, elapsed: float,
             for i, m in enumerate(makespans)]
 
 
-def fleet_efficiency(polls, consumption, window: tuple[int, int],
-                     poll_interval_s: int, cores_per_node: int = 16,
-                     avail_core_hours: Optional[float] = None) -> Optional[float]:
-    """Consumed backfill core-hours over total backfill availability;
-    None when there was no availability in the window."""
-    if avail_core_hours is None:
-        avail_core_hours = metrics.total_backfill_availability(
-            polls, window, poll_interval_s, cores_per_node)
-    if avail_core_hours <= 0:
-        return None
-    return metrics.consumed_core_hours(consumption, window) / avail_core_hours
-
-
 class JobSource:
     """Queue of payload descriptions; infinite by default."""
 

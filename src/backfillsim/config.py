@@ -109,6 +109,13 @@ class ScenarioConfig:
         if self.scenario == "replay_efficiency" and self.replay.trace_path is None:
             raise ValueError("replay: trace_path is required for the "
                              "replay_efficiency scenario")
+        if self.scenario in ("weak_scaling", "multi_generation", "strong_scaling"):
+            p = self.pilot
+            for nodes in p.nodes_list:
+                cap = self.cluster.cap_for(nodes, p.priority_class)
+                if p.walltime_s > cap:
+                    raise ValueError(f"pilot.walltime_s {p.walltime_s} exceeds the {cap}s "
+                                     f"cap for {nodes}-node pilots in the {p.queue!r} queue")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ScenarioConfig":

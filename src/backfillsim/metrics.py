@@ -37,7 +37,7 @@ class ConsumptionRecord:
     nodes: int
     start: int
     end: int
-    cores_per_node: int = 16
+    cores_per_node: int
 
     def __post_init__(self):
         if self.end <= self.start:
@@ -69,17 +69,13 @@ class WindowReport:
     jobs_failed: int
     events_done: int
 
-    @property
-    def label(self) -> str:
-        return f"[{self.window_start},{self.window_end})"
-
 
 def _overlap(a0: int, a1: int, b0: int, b1: int) -> int:
     return max(0, min(a1, b1) - max(a0, b0))
 
 
 def total_backfill_availability(polls: Sequence[PollRecord], window: tuple[int, int],
-                                poll_interval_s: int, cores_per_node: int = 16,
+                                poll_interval_s: int, cores_per_node: int,
                                 credit: str = "rate") -> float:
     """Core-hours of backfill availability observed inside `window`."""
     w0, w1 = window
@@ -109,7 +105,7 @@ def consumed_core_hours(records: Iterable[ConsumptionRecord],
 
 def window_report(polls: Sequence[PollRecord], consumption: Iterable[ConsumptionRecord],
                   outcomes: Iterable[OutcomeRecord], window: tuple[int, int],
-                  poll_interval_s: int, cores_per_node: int = 16,
+                  poll_interval_s: int, cores_per_node: int,
                   avail_core_hours: Optional[float] = None) -> WindowReport:
     """Aggregate one accounting window. `avail_core_hours` overrides the
     poll-based estimate when an exact availability integral is available."""
@@ -157,7 +153,7 @@ class AvailabilityLedger:
         elif not self.segments or self.segments[-1][1] != level:
             self.segments.append((self.sim.now, level))
 
-    def core_hours(self, window: tuple[int, int], cores_per_node: int = 16) -> float:
+    def core_hours(self, window: tuple[int, int], cores_per_node: int) -> float:
         w0, w1 = window
         total = 0.0
         for i, (t, level) in enumerate(self.segments):

@@ -337,16 +337,3 @@ class PilotRuntime:
             units_done=len(done), units_incomplete=len(incomplete),
             units_pending=len(pending) + len(state.buffered),
             generations_per_node=generations, task_durations=task_durations)
-
-
-def fill_units(nodes: int, walltime: float, mean_unit_s: float, events: int = 100,
-               durations: Optional[np.ndarray] = None) -> list[Unit]:
-    """Enough units to keep `nodes` busy through `walltime` (used where the
-    unit source is effectively infinite)."""
-    per_node = int(walltime / mean_unit_s) + 2
-    count = nodes * per_node
-    units = [Unit(id=i, events=events) for i in range(count)]
-    if durations is not None:
-        for unit, d in zip(units, durations):
-            unit.duration_s = float(d)
-    return units

@@ -35,7 +35,7 @@ from .config import ScenarioConfig, config_hash
 from .metrics import (AvailabilityLedger, month_windows,
                       total_backfill_availability, window_report, write_window_reports)
 from .pilot import AgentTimeline, OverheadModel, PilotDesc, PilotRuntime, Unit
-from .scheduler import BACKFILL, CAPABILITY, BatchJob, ClusterConfig, EasyBackfillScheduler, ReplayScheduler
+from .scheduler import BACKFILL, CAPABILITY, BatchJob, EasyBackfillScheduler, ReplayScheduler
 from .simcore import Simulation, stream_rng
 from .traces import emit_poll_trace, ingest_poll_trace, ingest_swf, trace_summary
 from .workload import (BackgroundLoadProfile, UnitDurationModel, generate_background_jobs,
@@ -240,8 +240,7 @@ def run_broker_count(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 def _run_one_pilot(cfg: ScenarioConfig, nodes: int, n_units: int) -> "PilotReport":
     p = cfg.pilot
     sim = Simulation(seed=cfg.seed)
-    cluster_cfg = ClusterConfig(total_nodes=nodes, cores_per_node=cfg.cluster.cores_per_node)
-    cluster = EasyBackfillScheduler(sim, cluster_cfg)
+    cluster = EasyBackfillScheduler(sim, replace(cfg.cluster, total_nodes=nodes))
     unit_model = UnitDurationModel(p.unit_mean_s, p.unit_sd_s)
     runtime = PilotRuntime(sim, cluster, p, unit_model=unit_model, name=f"pilot-{nodes}")
     pid = runtime.submit_pilot(PilotDesc(nodes=nodes, walltime=p.walltime_s,

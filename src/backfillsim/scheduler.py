@@ -13,6 +13,9 @@ job shaped exactly like the report is guaranteed to start immediately.
 
 Projected completions use requested walltime, the standard backfill
 assumption; jobs that finish early trigger a fresh scheduling pass.
+
+`ReplayScheduler` answers the same query from a recorded slot trace
+instead; both slot sources run jobs through one lifecycle.
 """
 
 from __future__ import annotations
@@ -111,28 +114,34 @@ class Reservation:
     end: SimTime
 
 
-class EasyBackfillScheduler:
-    def __init__(self, sim: Simulation, config: ClusterConfig = ClusterConfig(),
-                 strict_checks: bool = False):
+class _JobLifecycle:
+    """The job lifecycle both slot sources share: submission checks, id and
+    sequence assignment, start, the end event, finish and `terminate`.
+    Subclasses decide when an admitted job starts; their `_started` and
+    `_ended` hooks run just before the owner's `on_start`/`on_end`."""
+
+    def __init__(self, sim: Simulation, config: ClusterConfig):
         self.sim = sim
         self.config = config
-        self.free_nodes = config.total_nodes
-        self.queue: list[BatchJob] = []
         self.running: dict[str, BatchJob] = {}
         self._queued_ids: set[str] = set()
         self.finished: list[BatchJob] = []
         self.backfill_nodes_held = 0
-        self.strict_checks = strict_checks
-        self.state_listeners: list[Callable[[], None]] = []
         self._submit_counter = 0
-        self._pass_event: Optional[SimEvent] = None
-        self._version = 0
 
-    # -- public operations ----------------------------------------------------
+    def terminate(self, job_id: str, at: Optional[SimTime] = None) -> None:
+        """End a running job now, freeing its nodes. `at`, when given, must
+        equal the current clock (owners call this from their own handlers)."""
+        job = self.running.get(job_id)
+        if job is None:
+            raise UnknownJobError(f"job {job_id!r} is not running")
+        if at is not None and at != self.sim.now:
+            raise ValueError(f"terminate at t={at} but clock is {self.sim.now}")
+        self._finish(job)
 
-    def submit(self, job: BatchJob) -> str:
-        """Validate and enqueue a job; a scheduling pass runs at the current
-        simulated second (after any other events already pending at it)."""
+    def _admit(self, job: BatchJob) -> None:
+        """Check a submission against the machine and its walltime caps, then
+        give the job its id, sequence number and submit time."""
         if job.nodes < 1:
             raise SubmitError(f"job requests {job.nodes} nodes; need at least 1")
         if job.nodes > self.config.total_nodes:
@@ -156,21 +165,66 @@ class EasyBackfillScheduler:
         job._seq = self._submit_counter
         self._submit_counter += 1
         job.submit_time = self.sim.now
+
+    def _start(self, job: BatchJob) -> None:
+        job.start_time = self.sim.now
+        if job.priority_class == BACKFILL:
+            self.backfill_nodes_held += job.nodes
+        self.running[job.id] = job
+        if job.runtime is not None:
+            effective = min(job.runtime, job.walltime)
+            kind = "job_end"
+        else:
+            effective = job.walltime
+            kind = "walltime_kill"
+        job._end_event = self.sim.schedule(self.sim.now + effective, kind,
+                                           lambda j=job: self._finish(j), target=job.id)
+        self._started(job)
+        if job.on_start is not None:
+            job.on_start(job)
+
+    def _finish(self, job: BatchJob) -> None:
+        if job._end_event is not None:
+            self.sim.cancel(job._end_event)
+            job._end_event = None
+        del self.running[job.id]
+        job.end_time = self.sim.now
+        job.killed = (job.end_time - job.start_time) >= job.walltime
+        if job.priority_class == BACKFILL:
+            self.backfill_nodes_held -= job.nodes
+        self.finished.append(job)
+        self._ended(job)
+        if job.on_end is not None:
+            job.on_end(job)
+
+    def _started(self, job: BatchJob) -> None:
+        pass
+
+    def _ended(self, job: BatchJob) -> None:
+        pass
+
+
+class EasyBackfillScheduler(_JobLifecycle):
+    def __init__(self, sim: Simulation, config: ClusterConfig = ClusterConfig(),
+                 strict_checks: bool = False):
+        super().__init__(sim, config)
+        self.free_nodes = config.total_nodes
+        self.queue: list[BatchJob] = []
+        self.strict_checks = strict_checks
+        self.state_listeners: list[Callable[[], None]] = []
+        self._pass_event: Optional[SimEvent] = None
+
+    # -- public operations ----------------------------------------------------
+
+    def submit(self, job: BatchJob) -> str:
+        """Validate and enqueue a job; a scheduling pass runs at the current
+        simulated second (after any other events already pending at it)."""
+        self._admit(job)
         self.queue.append(job)
         self._queued_ids.add(job.id)
         self._touch()
         self._request_pass()
         return job.id
-
-    def terminate(self, job_id: str, at: Optional[SimTime] = None) -> None:
-        """End a running job now, freeing its nodes. `at`, when given, must
-        equal the current clock (owners call this from their own handlers)."""
-        job = self.running.get(job_id)
-        if job is None:
-            raise UnknownJobError(f"job {job_id!r} is not running")
-        if at is not None and at != self.sim.now:
-            raise ValueError(f"terminate at t={at} but clock is {self.sim.now}")
-        self._finish(job)
 
     def query_backfill(self) -> BackfillSlot:
         """Report the backfill slot available right now.
@@ -205,13 +259,9 @@ class EasyBackfillScheduler:
         self._settle()
         return self._head_reservation()
 
-    def utilization_nodes(self) -> int:
-        return self.config.total_nodes - self.free_nodes
-
     # -- internals --------------------------------------------------------------
 
     def _touch(self) -> None:
-        self._version += 1
         for listener in self.state_listeners:
             listener()
 
@@ -268,38 +318,16 @@ class EasyBackfillScheduler:
                                  f"nodes, {self.free_nodes} free")
         self.queue.remove(job)
         self._queued_ids.discard(job.id)
-        job.start_time = self.sim.now
         self.free_nodes -= job.nodes
-        if job.priority_class == BACKFILL:
-            self.backfill_nodes_held += job.nodes
-        self.running[job.id] = job
-        if job.runtime is not None:
-            effective = min(job.runtime, job.walltime)
-            kind = "job_end"
-        else:
-            effective = job.walltime
-            kind = "walltime_kill"
-        job._end_event = self.sim.schedule(self.sim.now + effective, kind,
-                                           lambda j=job: self._finish(j), target=job.id)
-        self._touch()
-        if job.on_start is not None:
-            job.on_start(job)
+        self._start(job)
 
-    def _finish(self, job: BatchJob) -> None:
-        if job._end_event is not None:
-            self.sim.cancel(job._end_event)
-            job._end_event = None
-        del self.running[job.id]
-        job.end_time = self.sim.now
-        job.killed = (job.end_time - job.start_time) >= job.walltime
+    def _started(self, job: BatchJob) -> None:
+        self._touch()
+
+    def _ended(self, job: BatchJob) -> None:
         self.free_nodes += job.nodes
-        if job.priority_class == BACKFILL:
-            self.backfill_nodes_held -= job.nodes
-        self.finished.append(job)
         self._touch()
         self._request_pass()
-        if job.on_end is not None:
-            job.on_end(job)
 
     def _head_reservation(self) -> Optional[Reservation]:
         order = self._queue_order()
@@ -352,24 +380,20 @@ class EasyBackfillScheduler:
                 return
 
 
-class ReplayScheduler:
+class ReplayScheduler(_JobLifecycle):
     """Slot source driven by a recorded poll trace instead of a live queue.
 
     Each `query_backfill()` returns the next trace record verbatim.
-    Submitted jobs start immediately (the premise of the slot report) and
-    are not capacity-checked against each other; this mode exists to replay
-    recorded availability, not to model contention.
+    Submitted jobs pass the live scheduler's checks and start immediately
+    (the premise of the slot report); they are not capacity-checked
+    against each other, since this mode exists to replay recorded
+    availability, not to model contention.
     """
 
     def __init__(self, sim: Simulation, records: Iterable, config: ClusterConfig = ClusterConfig()):
-        self.sim = sim
-        self.config = config
+        super().__init__(sim, config)
         self.records = list(records)
         self.cursor = 0
-        self.running: dict[str, BatchJob] = {}
-        self.finished: list[BatchJob] = []
-        self.backfill_nodes_held = 0
-        self._submit_counter = 0
 
     @property
     def exhausted(self) -> bool:
@@ -383,37 +407,6 @@ class ReplayScheduler:
         return BackfillSlot(rec.nodes, rec.walltime, self.sim.now)
 
     def submit(self, job: BatchJob) -> str:
-        job_id = job.id if job.id is not None else f"job-{self._submit_counter}"
-        if job_id in self.running:
-            raise SubmitError(f"job id {job_id!r} is already running")
-        job.id = job_id
-        self._submit_counter += 1
-        job.submit_time = job.start_time = self.sim.now
-        self.running[job.id] = job
-        if job.priority_class == BACKFILL:
-            self.backfill_nodes_held += job.nodes
-        effective = job.walltime if job.runtime is None else min(job.runtime, job.walltime)
-        job._end_event = self.sim.schedule(self.sim.now + effective, "job_end",
-                                           lambda j=job: self._finish(j), target=job.id)
-        if job.on_start is not None:
-            job.on_start(job)
+        self._admit(job)
+        self._start(job)
         return job.id
-
-    def terminate(self, job_id: str, at: Optional[SimTime] = None) -> None:
-        job = self.running.get(job_id)
-        if job is None:
-            raise UnknownJobError(f"job {job_id!r} is not running")
-        self._finish(job)
-
-    def _finish(self, job: BatchJob) -> None:
-        if job._end_event is not None:
-            self.sim.cancel(job._end_event)
-            job._end_event = None
-        del self.running[job.id]
-        job.end_time = self.sim.now
-        job.killed = (job.end_time - job.start_time) >= job.walltime
-        if job.priority_class == BACKFILL:
-            self.backfill_nodes_held -= job.nodes
-        self.finished.append(job)
-        if job.on_end is not None:
-            job.on_end(job)

@@ -11,14 +11,14 @@ The payload model has three layers:
 * per-node job makespan: greedy list scheduling of the event tasks over
   the node's worker slots, plus a constant framework setup time.
 
-I/O volumes per bundle follow the measured per-job statistics (clipped
+Per-node I/O volumes follow the measured per-job statistics (clipped
 normals, mean-corrected so the clipped mean matches the measured mean);
-they feed stage-in/out durations and reporting only, never event timing.
+they size the brokers' stage-in and stage-out transfers only, never event
+timing.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
-from scipy.stats import norm
 
 
 # ---------------------------------------------------------------------------
@@ -77,32 +76,6 @@ class EventDurationModel:
         u = rng.uniform(a, b, size=n)
         x = np.exp(self.mu + self.sigma * ndtri(u))
         return np.clip(x, self.lo, self.hi)
-
-    def scaled(self, factor: float) -> "EventDurationModel":
-        """Same shape, all durations multiplied by `factor`."""
-        return EventDurationModel(mu=self.mu + math.log(factor), sigma=self.sigma,
-                                  lo=self.lo * factor, hi=self.hi * factor,
-                                  calibrated_at=self.calibrated_at)
-
-
-@dataclass(frozen=True)
-class ConstantDurationModel:
-    """Degenerate event model for arithmetic checks and scaling scenarios."""
-
-    value_s: float
-    calibrated_at: int = 16
-
-    def mean(self) -> float:
-        return self.value_s
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, self.value_s)
-
-
-def sample_event_durations(model, n: int, rng: np.random.Generator) -> np.ndarray:
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return model.sample(n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +163,16 @@ class WorkloadConfig:
 # per-bundle I/O volumes
 
 
+def _norm_pdf(x: float) -> float:
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
 def _clipped_normal_mean(mu: float, sd: float, lo: float, hi: float) -> float:
     a = (lo - mu) / sd
     b = (hi - mu) / sd
     z = ndtr(b) - ndtr(a)
     return (lo * ndtr(a) + hi * (1.0 - ndtr(b))
-            + mu * z + sd * (norm.pdf(a) - norm.pdf(b)))
+            + mu * z + sd * (_norm_pdf(a) - _norm_pdf(b)))
 
 
 @dataclass(frozen=True)
@@ -218,23 +195,15 @@ class IoChannel:
 
 @dataclass(frozen=True)
 class IoProfile:
-    """Per-bundle I/O draws: data read/written (GB), file open/close counts,
-    and the per-node volume rates used to size transfers to a node count."""
+    """Per-node data volumes read and written (GB), used to size a bundle's
+    stage-in and stage-out transfers to its node count."""
 
-    read_gb: IoChannel
-    written_gb: IoChannel
-    opens: IoChannel
-    closes: IoChannel
     read_gb_per_node: IoChannel
     written_gb_per_node: IoChannel
 
     @classmethod
     def default(cls) -> "IoProfile":
         return cls(
-            read_gb=IoChannel.fit(0.01, 241.06, 20.36, 43.90),
-            written_gb=IoChannel.fit(0.03, 71.71, 6.87, 12.33),
-            opens=IoChannel.fit(1368, 1260185, 146459.37, 231346.55),
-            closes=IoChannel.fit(349, 294908, 34155.74, 53799.08),
             read_gb_per_node=IoChannel.fit(0.00037, 0.81670, 0.38354, 0.19379),
             written_gb_per_node=IoChannel.fit(0.02485, 0.23903, 0.16794, 0.03376),
         )
@@ -259,34 +228,12 @@ class SimJobSpec:
             raise ValueError(f"slots_per_node must be 8 or 16, got {self.slots_per_node}")
 
 
-def list_schedule_makespan(durations: np.ndarray, slots: int) -> float:
-    """Greedy list scheduling: each task goes to the earliest-free slot."""
-    if len(durations) <= slots:
-        return float(np.max(durations))
-    finish = [0.0] * slots
-    heapq.heapify(finish)
-    for d in durations:
-        heapq.heappush(finish, heapq.heappop(finish) + float(d))
-    return max(finish)
-
-
-def job_makespan(spec: SimJobSpec, model, rng: np.random.Generator,
-                 contention: Optional[ContentionModel] = None,
-                 setup_s: float = 0.0) -> float:
-    """Setup time plus the list-scheduling makespan of the payload's events."""
-    durations = model.sample(spec.events, rng)
-    if contention is not None:
-        durations = durations * contention.scale(spec.slots_per_node, model.calibrated_at)
-    return setup_s + list_schedule_makespan(durations, spec.slots_per_node)
-
-
 def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Generator,
                         contention: Optional[ContentionModel] = None,
                         setup_s: float = 0.0) -> np.ndarray:
-    """Vectorized `job_makespan` for `n_jobs` independent payloads.
-
-    Same greedy rule as the scalar path (tasks in draw order to the
-    earliest-free slot), evaluated for all jobs at once.
+    """Setup time plus the payload makespan of `n_jobs` independent
+    payloads, by greedy list scheduling (tasks in draw order to the
+    earliest-free slot) evaluated for all jobs at once.
     """
     durations = model.sample(n_jobs * spec.events, rng).reshape(n_jobs, spec.events)
     if contention is not None:
@@ -294,8 +241,7 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
     slots = spec.slots_per_node
     if spec.events <= slots:
         return setup_s + durations.max(axis=1)
-    finish = np.zeros((n_jobs, slots))
-    finish[:, :] = durations[:, :slots][:, :]  # first wave fills every slot
+    finish = durations[:, :slots].copy()  # first wave fills every slot
     rows = np.arange(n_jobs)
     for j in range(slots, spec.events):
         idx = np.argmin(finish, axis=1)
@@ -385,8 +331,8 @@ class BackgroundLoadProfile:
 
 
 def generate_background_jobs(profile: BackgroundLoadProfile, horizon_s: int,
-                             rng: np.random.Generator, total_nodes: int = 18688,
-                             capability_cap_s: int = 86400):
+                             rng: np.random.Generator, total_nodes: int,
+                             capability_cap_s: int):
     """Yield (submit_time, nodes, runtime, walltime) tuples over the horizon.
 
     The Poisson arrival rate is chosen so offered load matches the target

@@ -4,7 +4,7 @@ import pytest
 from backfillsim import (BrokerConfig, BrokerFleet, ClusterConfig,
                          EasyBackfillScheduler, FailureModel, JobSource,
                          ReplayScheduler, Simulation, WorkloadConfig, bundle_outcomes,
-                         fleet_efficiency, stream_rng)
+                         stream_rng, window_report)
 from backfillsim.metrics import ConsumptionRecord, PollRecord
 
 WORKLOAD = WorkloadConfig()  # setup_s 265, contention at the calibrated means
@@ -161,19 +161,25 @@ def test_failure_mix_must_sum_to_one():
 # -- efficiency ------------------------------------------------------------------
 
 
+def fleet_efficiency(polls, consumption, window):
+    # the fleet's efficiency is the window report's used over available
+    return window_report(polls, consumption, [], window, poll_interval_s=60,
+                         cores_per_node=16).efficiency
+
+
 def test_fleet_efficiency_nothing_consumed_is_zero():
     polls = [PollRecord(0, 691, 7560)]
-    assert fleet_efficiency(polls, [], (0, 60), poll_interval_s=60) == 0.0
+    assert fleet_efficiency(polls, [], (0, 60)) == 0.0
 
 
 def test_fleet_efficiency_equal_ledgers_is_one():
     polls = [PollRecord(0, 100, 3600)]
     used = [ConsumptionRecord("b", 100, 0, 60, cores_per_node=16)]
-    assert fleet_efficiency(polls, used, (0, 60), poll_interval_s=60) == pytest.approx(1.0)
+    assert fleet_efficiency(polls, used, (0, 60)) == pytest.approx(1.0)
 
 
 def test_fleet_efficiency_zero_availability_is_absent():
-    assert fleet_efficiency([], [], (0, 60), poll_interval_s=60) is None
+    assert fleet_efficiency([], [], (0, 60)) is None
 
 
 def test_bundle_start_triggers_on_live_cluster():

@@ -215,6 +215,14 @@ def test_model_checks_fire_at_load(tmp_path, capsys, override, key):
     assert key in capsys.readouterr().err
 
 
+def test_pilot_walltime_over_its_queue_cap_fails_validate(tmp_path, capsys):
+    # 10800 s pilots of 256..2048 nodes exceed the 7200 s backfill cap
+    path = write_yaml(tmp_path / "bad.yaml", {"extends": str(CONFIGS / "multi_generation.yaml"),
+                                              "pilot": {"queue": "backfill"}})
+    assert main(["validate", str(path)]) == 2
+    assert "pilot.walltime_s 10800 exceeds the 7200s cap" in capsys.readouterr().err
+
+
 def test_problems_in_several_sections_are_all_reported():
     with pytest.raises(ConfigError) as err:
         resolve_config({"cluster": {"total_nodes": 0}, "metrics": "often",

@@ -13,11 +13,11 @@ def test_record_validation():
     with pytest.raises(ValueError):
         PollRecord(0, -1, 10)
     with pytest.raises(ValueError):
-        ConsumptionRecord("x", 10, 100, 100)
+        ConsumptionRecord("x", 10, 100, 100, cores_per_node=16)
 
 
 def test_no_polls_is_zero_availability():
-    assert total_backfill_availability([], (0, 3600), 60) == 0.0
+    assert total_backfill_availability([], (0, 3600), 60, 16) == 0.0
 
 
 def test_single_poll_rate_credit_arithmetic():
@@ -33,7 +33,7 @@ def test_walltime_credit_mode():
                                       cores_per_node=16, credit="walltime")
     assert got == pytest.approx(691 * 16 * 7560 / 3600)
     with pytest.raises(ValueError):
-        total_backfill_availability(polls, (0, 3600), 60, credit="nope")
+        total_backfill_availability(polls, (0, 3600), 60, 16, credit="nope")
 
 
 def test_consumption_overlap_split():
@@ -48,12 +48,12 @@ def test_consumption_overlap_split():
 def test_report_equal_ledgers_efficiency_one():
     polls = [PollRecord(0, 100, 7200)]
     used = [ConsumptionRecord("b", 100, 0, 60, cores_per_node=16)]
-    report = window_report(polls, used, [], (0, 60), poll_interval_s=60)
+    report = window_report(polls, used, [], (0, 60), poll_interval_s=60, cores_per_node=16)
     assert report.efficiency == pytest.approx(1.0)
 
 
 def test_report_zero_availability_has_absent_efficiency():
-    report = window_report([], [], [], (0, 60), poll_interval_s=60)
+    report = window_report([], [], [], (0, 60), poll_interval_s=60, cores_per_node=16)
     assert report.efficiency is None
 
 
@@ -61,7 +61,8 @@ def test_events_identity_under_fixed_sizing():
     outcomes = [OutcomeRecord(time=i, done=True, events=100) for i in range(2250)]
     outcomes += [OutcomeRecord(time=i, done=False, events=0, cause="payload")
                  for i in range(300)]
-    report = window_report([], [], outcomes, (0, 10_000), poll_interval_s=60)
+    report = window_report([], [], outcomes, (0, 10_000), poll_interval_s=60,
+                           cores_per_node=16)
     assert report.jobs_done == 2250
     assert report.jobs_failed == 300
     assert report.events_done == report.jobs_done * 100
@@ -76,13 +77,13 @@ def test_events_identity_under_fixed_sizing():
 def test_windowed_reports_are_additive(poll_specs, cut):
     polls = sorted((PollRecord(t, n, w) for t, n, w in poll_specs),
                    key=lambda p: p.observed_at)
-    consumption = [ConsumptionRecord(f"c{i}", n + 1, t, t + w + 1)
+    consumption = [ConsumptionRecord(f"c{i}", n + 1, t, t + w + 1, 16)
                    for i, (t, n, w) in enumerate(poll_specs)]
     outcomes = [OutcomeRecord(time=t, done=bool(n % 2), events=100 * (n % 2))
                 for t, n, _ in poll_specs]
-    whole = window_report(polls, consumption, outcomes, (0, 500), 60)
-    left = window_report(polls, consumption, outcomes, (0, cut), 60)
-    right = window_report(polls, consumption, outcomes, (cut, 500), 60)
+    whole = window_report(polls, consumption, outcomes, (0, 500), 60, 16)
+    left = window_report(polls, consumption, outcomes, (0, cut), 60, 16)
+    right = window_report(polls, consumption, outcomes, (cut, 500), 60, 16)
     assert left.avail_core_hours + right.avail_core_hours == pytest.approx(
         whole.avail_core_hours)
     assert left.used_core_hours + right.used_core_hours == pytest.approx(
@@ -149,7 +150,7 @@ def test_month_windows_track_the_calendar():
 
 
 def test_write_window_reports(tmp_path):
-    report = window_report([PollRecord(0, 10, 60)], [], [], (0, 60), 60)
+    report = window_report([PollRecord(0, 10, 60)], [], [], (0, 60), 60, 16)
     path = tmp_path / "monthly.csv"
     write_window_reports(path, [("2016-01", report)])
     lines = path.read_text().strip().splitlines()

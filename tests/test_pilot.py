@@ -3,7 +3,7 @@ import pytest
 from backfillsim import (AgentTimeline, BatchJob, ClusterConfig,
                          EasyBackfillScheduler, OverheadModel, PilotDesc,
                          PilotRuntime, Simulation, SubmitError, Unit,
-                         UnitDurationModel, fill_units)
+                         UnitDurationModel)
 
 ZERO = OverheadModel(bootstrap_s=0.0, dispatch_per_unit_s=0.0, launch_per_unit_s=0.0)
 
@@ -202,19 +202,6 @@ def test_queue_wait_excluded_from_duration():
     rep = rt.pilot_report(pid)
     assert rep.queue_wait_s == 500
     assert rep.duration_s == pytest.approx(800.0)
-
-
-def test_fill_units_cover_walltime():
-    units = fill_units(4, 7200.0, 1200.0, events=16)
-    assert len(units) == 4 * 8
-    timeline = AgentTimeline(4, 7200.0, ZERO)
-    for u in units:
-        u.duration_s = 1200.0
-    timeline.add_units(units)
-    timeline.finalize()
-    # every node is busy through the walltime
-    done = [u for u in timeline.units if u.state == "done"]
-    assert len(done) == 4 * 6
 
 
 def test_overhead_model_rejects_negative():

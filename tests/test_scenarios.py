@@ -49,6 +49,16 @@ def test_same_config_and_seed_reproduce_identical_manifests(tmp_path):
     assert f1 == f2
 
 
+def test_pilot_clusters_use_the_configured_caps(tmp_path):
+    # a 26 h pilot needs the raised capability cap the config sets
+    cfg = resolve_config({"scenario": "weak_scaling", "output_dir": "long",
+                          "cluster": {"capability_caps": [[1 << 31, 100_000]]},
+                          "pilot": {"nodes_list": [16], "walltime_s": 93_600}})
+    run_scenario(cfg, base_dir=tmp_path)
+    rows = read_csv(tmp_path / "long" / "scaling.csv")
+    assert [int(r["pilot_nodes"]) for r in rows] == [16]
+
+
 def test_synthetic_slot_sequence_is_deterministic():
     cfg = ScenarioConfig.from_dict(resolve_config({"scenario": "broker_vs_pilot"}))
     assert synthetic_slots(cfg) == synthetic_slots(cfg)
@@ -146,7 +156,8 @@ def test_efficiency_accepts_swf_background(tmp_path):
     from backfillsim.simcore import stream_rng
     profile = BackgroundLoadProfile(target_utilization=0.8)
     jobs = [TraceJob(t, n, r, w) for t, n, r, w in
-            generate_background_jobs(profile, 86400, stream_rng(8, "swf-bg"))]
+            generate_background_jobs(profile, 86400, stream_rng(8, "swf-bg"),
+                                     total_nodes=18688, capability_cap_s=86400)]
     swf = tmp_path / "background.swf"
     emit_swf(swf, jobs)
     cfg = resolve_config({"scenario": "efficiency", "output_dir": "swf_eff",

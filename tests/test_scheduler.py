@@ -19,6 +19,11 @@ UNCAPPED = ClusterConfig(total_nodes=4, cores_per_node=16,
                          capability_caps=((1 << 31, 1 << 30),))
 
 
+def both_sources(cfg):
+    """A live EASY queue and a trace replay: the two users of one job lifecycle."""
+    return [EasyBackfillScheduler(Simulation(), cfg), ReplayScheduler(Simulation(), [], cfg)]
+
+
 def make(total_nodes=4):
     sim = Simulation(seed=0)
     cfg = ClusterConfig(total_nodes=total_nodes, cores_per_node=16,
@@ -42,16 +47,23 @@ def test_oversized_job_rejected():
 
 
 def test_walltime_over_band_cap_rejected():
-    sim = Simulation()
     cfg = ClusterConfig(total_nodes=100, cores_per_node=16,
                         backfill_caps=((100, 7200),),
                         capability_caps=((100, 86400),))
-    sched = EasyBackfillScheduler(sim, cfg)
-    with pytest.raises(SubmitError):
-        sched.submit(BatchJob(nodes=10, walltime=7201, priority_class=BACKFILL))
-    # same shape is fine at capability priority
-    sched.submit(BatchJob(nodes=10, walltime=7201, runtime=100,
-                          priority_class=CAPABILITY))
+    for sched in both_sources(cfg):
+        with pytest.raises(SubmitError):
+            sched.submit(BatchJob(nodes=10, walltime=7201, priority_class=BACKFILL))
+        # same shape is fine at capability priority
+        sched.submit(BatchJob(nodes=10, walltime=7201, runtime=100,
+                              priority_class=CAPABILITY))
+
+
+def test_unknown_priority_class_rejected():
+    for sched in both_sources(UNCAPPED):
+        with pytest.raises(SubmitError, match="priority class"):
+            sched.submit(BatchJob(nodes=1, walltime=100, runtime=100,
+                                  priority_class="urgent"))
+        assert (sched.running, sched.backfill_nodes_held) == ({}, 0)
 
 
 def test_backfill_fits_gap_without_delaying_blocked_head():
@@ -284,12 +296,15 @@ def test_replay_submissions_start_immediately():
 
 
 def test_terminate_rejects_mismatched_time():
-    sim, sched = make()
-    job = BatchJob(nodes=1, walltime=100, runtime=None, id="j")
-    sched.submit(job)
-    sim.run_until(0)
-    with pytest.raises(ValueError):
-        sched.terminate("j", at=50)
+    for sched in both_sources(UNCAPPED):
+        job = BatchJob(nodes=1, walltime=100, runtime=None, id="j")
+        sched.submit(job)
+        sched.sim.run_until(0)
+        with pytest.raises(ValueError):
+            sched.terminate("j", at=50)
+        assert list(sched.running) == ["j"]
+        sched.terminate("j", at=0)
+        assert (sched.running, job.end_time, job.killed) == ({}, 0, False)
 
 
 def test_duplicate_job_id_rejected_before_any_state_changes():
