@@ -189,11 +189,10 @@ class Broker:
 
     def _fetch(self) -> None:
         # Work descriptions are fetched ahead of staging; an empty finite
-        # source puts the broker to sleep until new work is added.
+        # source leaves the broker idle for good.
         if not self.fleet.source.infinite and self.fleet.source.remaining() < \
                 self.fleet.cfg.min_nodes_per_bundle:
             self.phase = self.IDLE
-            self.fleet.sleeping.append(self)
             return
         self.phase = self.STAGING_IN
         # Inputs are staged before the slot is known, so the transfer covers
@@ -221,7 +220,6 @@ class Broker:
         if granted < cfg.min_nodes_per_bundle:
             self.fleet.source.put_back(granted)
             self.phase = self.IDLE
-            self.fleet.sleeping.append(self)
             return
         nodes = granted
         cap = self.fleet.cluster.config.cap_for(nodes, BACKFILL)
@@ -285,16 +283,14 @@ class BrokerFleet:
     """All brokers plus the shared ledgers they write."""
 
     def __init__(self, sim: Simulation, cluster, cfg: BrokerConfig,
-                 workload: WorkloadConfig, io_profile: Optional[IoProfile] = None,
-                 source: Optional[JobSource] = None):
+                 workload: WorkloadConfig):
         self.sim = sim
         self.cluster = cluster
         self.cfg = cfg
         self.workload = workload
-        self.io = io_profile if io_profile is not None else IoProfile.default()
-        self.source = source if source is not None else JobSource(cfg.job_limit)
+        self.io = IoProfile.default()
+        self.source = JobSource(cfg.job_limit)
         self.brokers = [Broker(self, i) for i in range(cfg.n_brokers)]
-        self.sleeping: list[Broker] = []
         self.bundles: list[Bundle] = []
         self.consumption: list[metrics.ConsumptionRecord] = []
         self.outcomes: list[metrics.OutcomeRecord] = []
@@ -303,15 +299,6 @@ class BrokerFleet:
         # Staggered starts keep brokers from polling in lockstep.
         for i, broker in enumerate(self.brokers):
             broker.start(at + i)
-
-    def add_work(self, n: int) -> None:
-        """Grow a finite job source and wake any sleeping brokers."""
-        if self.source.infinite:
-            return
-        self.source.total += n
-        woken, self.sleeping = self.sleeping, []
-        for broker in woken:
-            broker.start(self.sim.now)
 
     def record_bundle(self, bundle: Bundle) -> None:
         self.bundles.append(bundle)

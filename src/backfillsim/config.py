@@ -27,9 +27,11 @@ from .pilot import PilotConfig
 from .scheduler import ClusterConfig
 from .workload import BackgroundLoadProfile, WorkloadConfig
 
-SCENARIOS = ("efficiency", "slot_calibration", "broker_count",
-             "weak_scaling", "multi_generation", "strong_scaling",
-             "broker_vs_pilot", "replay_efficiency")
+# Broker fleets on a live EASY cluster over background load, and pilots
+# sized from `pilot.nodes_list`: the two families of scenarios.
+CLUSTER_RUNS = ("efficiency", "slot_calibration", "broker_count")
+PILOT_SCALING = ("weak_scaling", "multi_generation", "strong_scaling")
+SCENARIOS = (*CLUSTER_RUNS, *PILOT_SCALING, "broker_vs_pilot", "replay_efficiency")
 
 # Experiment-specific defaults layered between DEFAULTS and the user's file
 # (the default pilot section is the weak-scaling experiment's).
@@ -102,14 +104,14 @@ class ScenarioConfig:
         if not (isinstance(self.horizon_days, (int, float)) and self.horizon_days > 0):
             raise ValueError("horizon_days must be positive")
         bg = self.background
-        cluster_run = self.scenario in ("efficiency", "slot_calibration", "broker_count")
-        if cluster_run and bool(bg.target_utilization) == (bg.trace_path is not None):
+        if self.scenario in CLUSTER_RUNS and \
+                bool(bg.target_utilization) == (bg.trace_path is not None):
             raise ValueError("background: exactly one of target_utilization or "
                              "trace_path must be set")
         if self.scenario == "replay_efficiency" and self.replay.trace_path is None:
             raise ValueError("replay: trace_path is required for the "
                              "replay_efficiency scenario")
-        if self.scenario in ("weak_scaling", "multi_generation", "strong_scaling"):
+        if self.scenario in PILOT_SCALING:
             p = self.pilot
             for nodes in p.nodes_list:
                 cap = self.cluster.cap_for(nodes, p.priority_class)

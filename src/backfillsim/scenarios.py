@@ -31,7 +31,7 @@ import yaml
 
 from . import __version__
 from .broker import BrokerFleet, MetricsPoller
-from .config import ScenarioConfig, config_hash
+from .config import PILOT_SCALING, ScenarioConfig, config_hash
 from .metrics import (AvailabilityLedger, month_windows,
                       total_backfill_availability, window_report, write_window_reports)
 from .pilot import AgentTimeline, OverheadModel, PilotDesc, PilotRuntime, Unit
@@ -389,9 +389,7 @@ _RUNNERS = {
     "efficiency": run_efficiency,
     "slot_calibration": run_slot_calibration,
     "broker_count": run_broker_count,
-    "weak_scaling": run_pilot_scaling,
-    "multi_generation": run_pilot_scaling,
-    "strong_scaling": run_pilot_scaling,
+    **dict.fromkeys(PILOT_SCALING, run_pilot_scaling),
     "broker_vs_pilot": run_broker_vs_pilot,
     "replay_efficiency": run_replay_efficiency,
 }

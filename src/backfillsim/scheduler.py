@@ -20,6 +20,7 @@ instead; both slot sources run jobs through one lifecycle.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -29,6 +30,11 @@ CAPABILITY = "capability"
 BACKFILL = "backfill_lowest"
 
 _PRIORITY_RANK = {CAPABILITY: 0, BACKFILL: 1}
+
+
+def _queue_key(job: "BatchJob") -> tuple:
+    # Fixed at submit, so the queue stays sorted by inserting in place.
+    return (_PRIORITY_RANK[job.priority_class], job.submit_time, job._seq)
 
 
 class SubmitError(Exception):
@@ -71,14 +77,15 @@ class ClusterConfig:
         return bands[-1][1]
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchJob:
     """A scheduler-visible job.
 
     `runtime` is the actual duration when known up front (trace/background
     jobs). Leave it None for jobs whose duration is decided by their owner
     (bundles, pilots): the owner must call `terminate()` before the
-    walltime limit or the job is killed at `start + walltime`.
+    walltime limit or the job is killed at `start + walltime`. `on_start`
+    runs inside a scheduling pass: schedule an event to terminate jobs.
     """
 
     nodes: int
@@ -220,7 +227,7 @@ class EasyBackfillScheduler(_JobLifecycle):
         """Validate and enqueue a job; a scheduling pass runs at the current
         simulated second (after any other events already pending at it)."""
         self._admit(job)
-        self.queue.append(job)
+        bisect.insort(self.queue, job, key=_queue_key)
         self._queued_ids.add(job.id)
         self._touch()
         self._request_pass()
@@ -240,11 +247,8 @@ class EasyBackfillScheduler(_JobLifecycle):
         if idle == 0:
             return BackfillSlot(0, 0, now)
         cap = self.config.cap_for(idle, BACKFILL)
-        res = self._head_reservation()
-        if res is None:
-            return BackfillSlot(idle, cap, now)
-        extra = self._extra_at_reservation(res)
-        if extra >= idle:
+        res, extra = self._reservation()
+        if res is None or extra >= idle:
             return BackfillSlot(idle, cap, now)
         return BackfillSlot(idle, min(res.start - now, cap), now)
 
@@ -257,7 +261,7 @@ class EasyBackfillScheduler(_JobLifecycle):
 
     def head_reservation(self) -> Optional[Reservation]:
         self._settle()
-        return self._head_reservation()
+        return self._reservation()[0]
 
     # -- internals --------------------------------------------------------------
 
@@ -280,36 +284,35 @@ class EasyBackfillScheduler(_JobLifecycle):
         if self._pass_event is not None:
             self.schedule_pass()
 
-    def _queue_order(self) -> list[BatchJob]:
-        return sorted(self.queue,
-                      key=lambda j: (_PRIORITY_RANK[j.priority_class], j.submit_time, j._seq))
-
     def _run_pass(self) -> list[BatchJob]:
         dispatched: list[BatchJob] = []
-        while True:
-            order = self._queue_order()
-            if not order:
-                break
-            head = order[0]
-            if head.nodes <= self.free_nodes:
-                self._dispatch(head)
-                dispatched.append(head)
+        while self.queue and self.queue[0].nodes <= self.free_nodes:
+            head = self.queue[0]
+            self._dispatch(head)
+            dispatched.append(head)
+        if len(self.queue) < 2:
+            return dispatched
+        # The head is blocked. A backfill dispatch never moves its start,
+        # and free nodes and `extra` only shrink, so a job skipped here
+        # stays skipped: one scan over the rest of the queue suffices.
+        res, extra = self._reservation()
+        for job in self.queue[1:]:
+            if job.nodes > self.free_nodes:
                 continue
-            res = self._head_reservation()
-            extra = self._extra_at_reservation(res)
-            started = None
-            for job in order[1:]:
-                if job.nodes > self.free_nodes:
-                    continue
-                if self.sim.now + job.walltime <= res.start or job.nodes <= extra:
-                    if self.strict_checks:
-                        self._assert_no_delay(job, res)
-                    self._dispatch(job)
-                    dispatched.append(job)
-                    started = job
-                    break
-            if started is None:
-                break
+            runs_past = self.sim.now + job.walltime > res.start
+            if runs_past and job.nodes > extra:
+                continue
+            self._dispatch(job)
+            dispatched.append(job)
+            if runs_past:
+                extra -= job.nodes
+            if self.strict_checks:
+                after, after_extra = self._reservation()
+                if (after.start, after_extra) != (res.start, extra):
+                    raise AssertionError(
+                        f"backfill dispatch of {job.id} moved the reservation of "
+                        f"{res.job_id} from t={res.start} with {extra} spare nodes "
+                        f"to t={after.start} with {after_extra}")
         return dispatched
 
     def _dispatch(self, job: BatchJob) -> None:
@@ -329,55 +332,26 @@ class EasyBackfillScheduler(_JobLifecycle):
         self._touch()
         self._request_pass()
 
-    def _head_reservation(self) -> Optional[Reservation]:
-        order = self._queue_order()
-        if not order:
-            return None
-        head = order[0]
-        if head.nodes <= self.free_nodes:
-            # A pass is pending at this second; the head starts now.
-            return Reservation(head.id, head.nodes, self.sim.now,
-                               self.sim.now + head.walltime)
-        start = self._earliest_start(head.nodes)
-        return Reservation(head.id, head.nodes, start, start + head.walltime)
-
-    def _earliest_start(self, nodes_needed: int) -> SimTime:
-        free = self.free_nodes
-        releases: dict[SimTime, int] = {}
-        for job in self.running.values():
-            end = job.start_time + job.walltime
-            releases[end] = releases.get(end, 0) + job.nodes
-        for end in sorted(releases):
-            free += releases[end]
-            if free >= nodes_needed:
-                return end
-        raise AssertionError("job can never start; capacity invariant broken")
-
-    def _extra_at_reservation(self, res: Reservation) -> int:
-        # Nodes still free at the reservation start once the head begins:
-        # a backfill job that small can run past the reservation harmlessly.
-        free = self.free_nodes
-        for job in self.running.values():
-            if job.start_time + job.walltime <= res.start:
-                free += job.nodes
-        return free - res.nodes
-
-    def _assert_no_delay(self, candidate: BatchJob, res: Reservation) -> None:
-        free = self.free_nodes - candidate.nodes
-        releases: dict[SimTime, int] = {}
-        for job in self.running.values():
-            end = job.start_time + job.walltime
-            releases[end] = releases.get(end, 0) + job.nodes
-        cand_end = self.sim.now + candidate.walltime
-        releases[cand_end] = releases.get(cand_end, 0) + candidate.nodes
-        for end in sorted(releases):
-            free += releases[end]
-            if free >= res.nodes:
-                if end > res.start:
-                    raise AssertionError(
-                        f"backfill dispatch of {candidate.id} would delay "
-                        f"reservation of {res.job_id} from {res.start} to {end}")
-                return
+    def _reservation(self) -> tuple[Optional[Reservation], int]:
+        """The queue head's reservation and `extra`, the nodes still free at its
+        start once it begins (a job no wider may run past it), from one walk
+        over the running jobs' projected releases; `(None, 0)` if none queued."""
+        if not self.queue:
+            return None, 0
+        head = self.queue[0]
+        releases = sorted((job.start_time + job.walltime, job.nodes)
+                          for job in self.running.values())
+        start, free, i = self.sim.now, self.free_nodes, 0
+        while free < head.nodes:
+            if i == len(releases):
+                raise AssertionError("job can never start; capacity invariant broken")
+            start, nodes = releases[i]
+            free += nodes
+            i += 1
+        while i < len(releases) and releases[i][0] <= start:
+            free += releases[i][1]
+            i += 1
+        return Reservation(head.id, head.nodes, start, start + head.walltime), free - head.nodes
 
 
 class ReplayScheduler(_JobLifecycle):

@@ -117,7 +117,3 @@ class Simulation:
     def run(self) -> SimTime:
         """Drain the queue completely."""
         return self.run_until(math.inf)
-
-    @property
-    def pending_events(self) -> int:
-        return sum(1 for ev in self._queue if not ev.cancelled)

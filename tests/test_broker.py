@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from backfillsim import (BrokerConfig, BrokerFleet, ClusterConfig,
-                         EasyBackfillScheduler, FailureModel, JobSource,
-                         ReplayScheduler, Simulation, WorkloadConfig, bundle_outcomes,
-                         stream_rng, window_report)
+                         EasyBackfillScheduler, FailureModel, ReplayScheduler,
+                         Simulation, WorkloadConfig, bundle_outcomes, stream_rng,
+                         window_report)
 from backfillsim.metrics import ConsumptionRecord, PollRecord
 
 WORKLOAD = WorkloadConfig()  # setup_s 265, contention at the calibrated means
@@ -14,11 +14,10 @@ UNCAPPED = ClusterConfig(total_nodes=18688, cores_per_node=16,
                          capability_caps=((1 << 31, 86400),))
 
 
-def replay_fleet(records, cfg=None, cluster_cfg=UNCAPPED, seed=1, source=None):
+def replay_fleet(records, cfg=None, cluster_cfg=UNCAPPED, seed=1):
     sim = Simulation(seed=seed)
     cluster = ReplayScheduler(sim, [PollRecord(*r) for r in records], cluster_cfg)
-    fleet = BrokerFleet(sim, cluster, cfg or BrokerConfig(n_brokers=1), WORKLOAD,
-                        source=source)
+    fleet = BrokerFleet(sim, cluster, cfg or BrokerConfig(n_brokers=1), WORKLOAD)
     fleet.start(0)
     return sim, cluster, fleet
 
@@ -91,18 +90,16 @@ def test_fit_walltime_sizing_policy():
     assert fleet.bundles[0].events_per_payload == expected
 
 
-def test_finite_source_puts_brokers_to_sleep_and_add_work_wakes():
+def test_finite_source_runs_one_bundle_then_leaves_the_broker_idle():
     records = [(i, 300, 7560) for i in range(200)]
-    cfg = BrokerConfig(n_brokers=1)
-    source = JobSource(total=20)
-    sim, cluster, fleet = replay_fleet(records, cfg=cfg, source=source)
+    cfg = BrokerConfig(n_brokers=1, job_limit=20)
+    sim, cluster, fleet = replay_fleet(records, cfg=cfg)
     sim.run_until(60_000)
+    assert [b.nodes for b in fleet.bundles] == [20]
+    assert fleet.brokers[0].phase == "idle"
+    assert fleet.source.remaining() == 0
+    sim.run_until(sim.now + 60_000)  # slots keep coming, work does not
     assert len(fleet.bundles) == 1
-    assert fleet.bundles[0].nodes == 20
-    assert len(fleet.sleeping) == 1
-    fleet.add_work(50)
-    sim.run_until(sim.now + 60_000)
-    assert len(fleet.bundles) == 2
 
 
 # -- outcomes -------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import csv
+import functools
 import json
+from pathlib import Path
 
 import pytest
 
-from backfillsim import (ScenarioConfig, emit_poll_trace, resolve_config, run_scenario,
+from backfillsim import (EasyBackfillScheduler, ScenarioConfig, config, emit_poll_trace,
+                         load_scenario_file, resolve_config, run_scenario, scenarios,
                          synthetic_slots)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_csv(path):
@@ -97,6 +102,23 @@ def test_efficiency_scenario_short_run(tmp_path):
     assert len(rows) == 1
     assert float(rows[0]["used_core_hours"]) <= float(rows[0]["avail_core_hours"])
     assert (tmp_path / "eff" / "bundles.csv").exists()
+
+
+def test_two_day_efficiency_reproduces_its_golden_under_strict_checks(tmp_path,
+                                                                     monkeypatch):
+    # every backfill dispatch re-walks the release profile and must leave the
+    # head's reservation where it was; the outputs must not change
+    monkeypatch.setattr(scenarios, "EasyBackfillScheduler",
+                        functools.partial(EasyBackfillScheduler, strict_checks=True))
+    cfg = load_scenario_file(ROOT / "configs" / "efficiency_month.yaml")
+    cfg.update(horizon_days=2, output_dir="out/eff2d")
+    run_scenario(cfg, base_dir=tmp_path)
+    golden = ROOT / "out" / "eff2d" / "manifest.json"
+    assert (tmp_path / "out" / "eff2d" / "manifest.json").read_bytes() == golden.read_bytes()
+
+
+def test_every_scenario_has_one_runner():
+    assert set(scenarios._RUNNERS) == set(config.SCENARIOS)
 
 
 def test_replay_efficiency_consumes_a_trace(tmp_path):

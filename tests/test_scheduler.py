@@ -5,12 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 import backfillsim
 from backfillsim import (BACKFILL, CAPABILITY, BatchJob, ClusterConfig,
                          EasyBackfillScheduler, ReplayScheduler, Simulation,
                          SubmitError, UnknownJobError)
 from backfillsim.metrics import PollRecord
+from backfillsim.scheduler import _queue_key
 
 from easy_oracle import OracleJob, simulate
 
@@ -271,6 +275,84 @@ def test_reported_slot_always_starts_immediately():
     rng = np.random.default_rng(777)
     submittable = sum(honesty_trial(rng) for _ in range(300))
     assert submittable > 100  # the property must actually be exercised
+
+
+# -- stateful property test -----------------------------------------------------
+
+
+class EasyMachine(RuleBasedStateMachine):
+    """Random submissions, early owner terminations, clock advances and slot
+    probes on a small strict-checked cluster. Early `terminate` is the path
+    the oracle comparison above never takes."""
+
+    def __init__(self):
+        super().__init__()
+        self.sim = Simulation(seed=0)
+        self.sched = EasyBackfillScheduler(
+            self.sim, ClusterConfig(total_nodes=6, cores_per_node=16,
+                                    backfill_caps=((1 << 31, 1 << 30),),
+                                    capability_caps=((1 << 31, 1 << 30),)),
+            strict_checks=True)
+        self.owned: list[BatchJob] = []  # runtime=None: ended by terminate or walltime
+
+    @rule(nodes=st.integers(1, 6), walltime=st.integers(1, 60),
+          runtime=st.integers(1, 80), backfill=st.booleans())
+    def submit_with_runtime(self, nodes, walltime, runtime, backfill):
+        self.sched.submit(BatchJob(nodes=nodes, walltime=walltime, runtime=runtime,
+                                   priority_class=BACKFILL if backfill else CAPABILITY))
+
+    @rule(nodes=st.integers(1, 6), walltime=st.integers(1, 60), backfill=st.booleans())
+    def submit_owned(self, nodes, walltime, backfill):
+        job = BatchJob(nodes=nodes, walltime=walltime, runtime=None,
+                       priority_class=BACKFILL if backfill else CAPABILITY)
+        self.sched.submit(job)
+        self.owned.append(job)
+
+    def _owned_running(self):
+        return [j for j in self.owned if j.id in self.sched.running]
+
+    @precondition(lambda self: self._owned_running())
+    @rule(data=st.data())
+    def terminate_early(self, data):
+        job = data.draw(st.sampled_from(self._owned_running()))
+        self.sched.terminate(job.id, at=self.sim.now)
+        assert job.end_time == self.sim.now
+
+    @rule(dt=st.integers(0, 30))
+    def advance_clock(self, dt):
+        self.sim.run_until(self.sim.now + dt)
+
+    @rule()
+    def probe_reported_slot(self):
+        slot = self.sched.query_backfill()
+        if slot.nodes == 0:
+            return
+        probe = BatchJob(nodes=slot.nodes, walltime=slot.walltime, runtime=None,
+                         priority_class=BACKFILL)
+        self.sched.submit(probe)
+        self.owned.append(probe)
+        self.sim.run_until(self.sim.now)
+        assert probe.start_time == slot.observed_at, (slot, self.sched.queue)
+
+    @invariant()
+    def nodes_are_conserved(self):
+        held = sum(j.nodes for j in self.sched.running.values())
+        assert self.sched.free_nodes + held == self.sched.config.total_nodes
+
+    @invariant()
+    def backfill_nodes_held_matches_running_backfill_jobs(self):
+        held = sum(j.nodes for j in self.sched.running.values()
+                   if j.priority_class == BACKFILL)
+        assert self.sched.backfill_nodes_held == held >= 0
+
+    @invariant()
+    def queue_stays_in_priority_order(self):
+        keys = [_queue_key(j) for j in self.sched.queue]
+        assert keys == sorted(keys)
+
+
+TestEasyMachine = EasyMachine.TestCase
+TestEasyMachine.settings = settings(max_examples=200, stateful_step_count=40)
 
 
 # -- replay mode ---------------------------------------------------------------

@@ -37,10 +37,13 @@ def test_run_until_empty_queue_returns_immediately():
 
 def test_run_until_stops_at_last_fired_event():
     sim = Simulation()
+    fired = []
     for t in (10, 20, 30):
-        sim.schedule(t, "tick", lambda: None)
+        sim.schedule(t, "tick", lambda t=t: fired.append(t))
     assert sim.run_until(25) == 20
-    assert sim.pending_events == 1
+    assert fired == [10, 20]
+    sim.run()  # the one event left still fires
+    assert fired == [10, 20, 30]
 
 
 def test_handlers_may_schedule_at_current_time():
