@@ -12,8 +12,7 @@ from .workload import (BackgroundLoadProfile, ContentionModel, EventDurationMode
                        generate_background_jobs, job_makespans_batch)
 from .broker import (Broker, BrokerConfig, BrokerFleet, Bundle, FailureMix, FailureModel,
                      JobSource, MetricsPoller, bundle_outcomes)
-from .pilot import (AgentTimeline, OverheadModel, PilotConfig, PilotDesc, PilotReport,
-                    PilotRuntime, Unit)
+from .pilot import AgentTimeline, OverheadModel, PilotConfig, PilotReport, Unit, run_pilot
 from .metrics import (AvailabilityLedger, ConsumptionRecord, OutcomeRecord,
                       PollRecord, WindowReport, consumed_core_hours, month_windows,
                       total_backfill_availability, window_report)

@@ -1,11 +1,15 @@
 """Availability and consumption accounting.
 
-Total backfill availability is derived from periodic slot observations.
-The default credit is a rate: each poll contributes nodes x cores x
-poll_interval, i.e. availability is a sampled step function integrated
-over time. The alternative `walltime` credit (nodes x cores x reported
-walltime per poll) is kept for sensitivity analysis; it double-counts
-overlapping observations and can make used/avail exceed 1.
+A simulated run with `availability_credit: rate` (the default) takes
+backfill availability from the exact `AvailabilityLedger`: the integral
+of free plus backfill-held nodes over time. From slot observations alone,
+availability is a sum over polls. The `rate` credit gives each poll
+nodes x cores x poll_interval, a sampled step function integrated over
+time; `window_report` falls back to it when no availability is passed
+in. The `walltime` credit gives each poll nodes x cores x reported
+walltime; runs set to `availability_credit: walltime` and trace replays
+use it. On a live run it double-counts overlapping observations and can
+make used/avail exceed 1.
 
 Consumption is exact: every job contributes nodes x cores x held time,
 split across report windows by overlap. Counts (jobs, events) attribute

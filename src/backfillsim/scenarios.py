@@ -8,7 +8,7 @@ Each named scenario reproduces one experiment family:
   horizon; monthly availability/consumption ledger.
 * ``broker_count`` — the efficiency run at two fleet sizes, same seed.
 * ``weak_scaling`` / ``multi_generation`` / ``strong_scaling`` — pilot
-  runtime scaling experiments on a dedicated cluster.
+  scaling experiments; each pilot starts at once on its own nodes.
 * ``broker_vs_pilot`` — bundle-per-slot versus multi-generation pilot
   consumption over one shared slot sequence and seed.
 * ``replay_efficiency`` — broker fleet driven by an ingested poll trace.
@@ -34,7 +34,7 @@ from .broker import BrokerFleet, MetricsPoller
 from .config import PILOT_SCALING, ScenarioConfig, config_hash
 from .metrics import (AvailabilityLedger, month_windows,
                       total_backfill_availability, window_report, write_window_reports)
-from .pilot import AgentTimeline, OverheadModel, PilotDesc, PilotRuntime, Unit
+from .pilot import AgentTimeline, OverheadModel, PilotReport, Unit, run_pilot
 from .scheduler import BACKFILL, CAPABILITY, BatchJob, EasyBackfillScheduler, ReplayScheduler
 from .simcore import Simulation, stream_rng
 from .traces import emit_poll_trace, ingest_poll_trace, ingest_swf, trace_summary
@@ -237,19 +237,12 @@ def run_broker_count(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 # -- pilot scaling scenarios -----------------------------------------------------
 
 
-def _run_one_pilot(cfg: ScenarioConfig, nodes: int, n_units: int) -> "PilotReport":
+def _run_one_pilot(cfg: ScenarioConfig, nodes: int, n_units: int) -> PilotReport:
     p = cfg.pilot
-    sim = Simulation(seed=cfg.seed)
-    cluster = EasyBackfillScheduler(sim, replace(cfg.cluster, total_nodes=nodes))
-    unit_model = UnitDurationModel(p.unit_mean_s, p.unit_sd_s)
-    runtime = PilotRuntime(sim, cluster, p, unit_model=unit_model, name=f"pilot-{nodes}")
-    pid = runtime.submit_pilot(PilotDesc(nodes=nodes, walltime=p.walltime_s,
-                                         priority_class=p.priority_class))
-    units = [Unit(id=i, events=p.events_per_unit) for i in range(n_units)]
-    runtime.dispatch_units(pid, units)
-    runtime.close(pid)
-    sim.run()
-    return runtime.pilot_report(pid)
+    durations = UnitDurationModel(p.unit_mean_s, p.unit_sd_s).sample(
+        n_units, stream_rng(cfg.seed, f"pilot-{nodes}-units"))
+    units = [Unit(id=i, duration_s=float(d)) for i, d in enumerate(durations)]
+    return run_pilot(nodes, p.walltime_s, units, p)
 
 
 def run_pilot_scaling(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
@@ -298,13 +291,11 @@ def consume_slot_broker(nodes: int, walltime: int, makespans: np.ndarray,
 
 
 def consume_slot_pilot(nodes: int, walltime: int, durations: np.ndarray,
-                       overheads: OverheadModel, cores: int,
-                       events_per_unit: int) -> tuple[float, int]:
+                       overheads: OverheadModel, cores: int) -> tuple[float, int]:
     """(core-hours, units done) for a pilot holding the slot to its walltime
     and running generations of units drawn from the same payload pool."""
     timeline = AgentTimeline(nodes, walltime, overheads)
-    units = [Unit(id=i, events=events_per_unit, duration_s=float(d))
-             for i, d in enumerate(durations)]
+    units = [Unit(id=i, duration_s=float(d)) for i, d in enumerate(durations)]
     timeline.add_units(units)
     timeline.finalize()
     done = sum(1 for u in timeline.units if u.state == "done")
@@ -333,7 +324,7 @@ def run_broker_vs_pilot(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
         broker_ch, broker_done, held = consume_slot_broker(nodes, walltime,
                                                            pool[0], cores)
         pilot_ch, pilot_done = consume_slot_pilot(nodes, walltime, pool.ravel(),
-                                                  cfg.pilot, cores, b.events_per_job)
+                                                  cfg.pilot, cores)
         residual = walltime - held
         rows.append([i, at, slot_nodes, slot_walltime, 1, nodes, walltime,
                      f"{broker_ch:.3f}", f"{pilot_ch:.3f}", broker_done,

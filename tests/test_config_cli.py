@@ -203,6 +203,7 @@ BAD_INPUTS = [
     ({"broker": {"slots_per_node": 12}}, "broker: slots_per_node"),
     ({"workload": {"event_mean_s": 5000}}, "workload: event_mean_s"),
     ({"scenario": "weak_scaling", "pilot": {"queue": "capabilty"}}, "pilot: queue"),
+    ({"pilot": {"nodes_list": [0]}}, "pilot: nodes_list"),
 ]
 
 

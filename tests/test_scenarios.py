@@ -117,6 +117,14 @@ def test_two_day_efficiency_reproduces_its_golden_under_strict_checks(tmp_path,
     assert (tmp_path / "out" / "eff2d" / "manifest.json").read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["weak_scaling", "broker_vs_pilot", "replay_efficiency"])
+def test_fast_goldens_reproduce_their_manifests(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(ROOT)  # the replay trace path is relative to the repo root
+    run_scenario(load_scenario_file(ROOT / "configs" / f"{name}.yaml"), base_dir=tmp_path)
+    golden = ROOT / "out" / name / "manifest.json"
+    assert (tmp_path / "out" / name / "manifest.json").read_bytes() == golden.read_bytes()
+
+
 def test_every_scenario_has_one_runner():
     assert set(scenarios._RUNNERS) == set(config.SCENARIOS)
 
