@@ -10,24 +10,23 @@ reports how much of the leftover capacity they captured.
 Takes about ten seconds.
 """
 
-from backfillsim import ScenarioConfig, resolve_config
-from backfillsim.metrics import consumed_core_hours
+from backfillsim import ScenarioConfig, resolve_config, window_report
 from backfillsim.scenarios import _run_cluster, measured_utilization
 from backfillsim.traces import trace_summary
 
 cfg = ScenarioConfig.from_dict(
     resolve_config({"scenario": "efficiency", "seed": 1, "horizon_days": 3}))
-sim, cluster, ledger, background, poller, fleet, horizon = _run_cluster(
-    cfg, with_brokers=True)
+cluster, ledger, poller, fleet, horizon = _run_cluster(cfg, with_brokers=True)
 
-util = measured_utilization(background, cluster.config.total_nodes, horizon)
+util = measured_utilization(ledger, cluster.config.total_nodes, horizon)
 stats = trace_summary(poller.polls)
 print(f"capability utilization: {util:.3f}")
 print(f"slot distribution seen by the poller: mean {stats['mean_nodes']:.0f} nodes, "
       f"mean walltime {stats['mean_walltime_s']/60:.0f} min")
 
-avail = ledger.core_hours((0, horizon), cluster.config.cores_per_node)
-used = consumed_core_hours(fleet.consumption, (0, horizon))
+cores = cluster.config.cores_per_node
+avail = ledger.core_hours((0, horizon), cores)
+used = window_report(fleet.bundles, (0, horizon), cores, avail).used_core_hours
 print(f"\nbackfill availability: {avail/1e3:.0f}k core-hours")
 print(f"consumed by {cfg.broker.n_brokers} brokers: {used/1e3:.0f}k "
       f"core-hours (efficiency {used/avail:.1%})")

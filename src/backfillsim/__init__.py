@@ -13,8 +13,7 @@ from .workload import (BackgroundLoadProfile, ContentionModel, EventDurationMode
 from .broker import (Broker, BrokerConfig, BrokerFleet, Bundle, FailureMix, FailureModel,
                      JobSource, MetricsPoller, bundle_outcomes)
 from .pilot import AgentTimeline, OverheadModel, PilotConfig, PilotReport, Unit, run_pilot
-from .metrics import (AvailabilityLedger, ConsumptionRecord, OutcomeRecord,
-                      PollRecord, WindowReport, consumed_core_hours, month_windows,
+from .metrics import (AvailabilityLedger, PollRecord, WindowReport, month_windows,
                       total_backfill_availability, window_report)
 from .traces import (TraceFormatError, TraceJob, emit_poll_trace, emit_swf,
                      ingest_poll_trace, ingest_swf, trace_summary)

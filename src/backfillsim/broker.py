@@ -280,7 +280,7 @@ class Broker:
 
 
 class BrokerFleet:
-    """All brokers plus the shared ledgers they write."""
+    """All brokers plus `bundles`, every finished bundle in end order."""
 
     def __init__(self, sim: Simulation, cluster, cfg: BrokerConfig,
                  workload: WorkloadConfig):
@@ -292,8 +292,6 @@ class BrokerFleet:
         self.source = JobSource(cfg.job_limit)
         self.brokers = [Broker(self, i) for i in range(cfg.n_brokers)]
         self.bundles: list[Bundle] = []
-        self.consumption: list[metrics.ConsumptionRecord] = []
-        self.outcomes: list[metrics.OutcomeRecord] = []
 
     def start(self, at: int = 0) -> None:
         # Staggered starts keep brokers from polling in lockstep.
@@ -302,14 +300,6 @@ class BrokerFleet:
 
     def record_bundle(self, bundle: Bundle) -> None:
         self.bundles.append(bundle)
-        self.consumption.append(metrics.ConsumptionRecord(
-            job_id=bundle.id, nodes=bundle.nodes, start=bundle.start_time,
-            end=bundle.end_time, cores_per_node=self.cluster.config.cores_per_node))
-        for cause in bundle.outcomes:
-            self.outcomes.append(metrics.OutcomeRecord(
-                time=bundle.end_time, done=cause is None,
-                events=bundle.events_per_payload if cause is None else 0,
-                cause=cause))
 
     def write_bundle_log(self, path) -> None:
         with open(path, "w", newline="") as fh:

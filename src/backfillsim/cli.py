@@ -26,6 +26,8 @@ def _set_key(cfg: dict, dotted: str, value) -> None:
     node = cfg
     for key in keys[:-1]:
         node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise ConfigError([f"--param {dotted!r}: {key!r} is not a section"])
     node[keys[-1]] = value
 
 

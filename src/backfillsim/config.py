@@ -101,8 +101,11 @@ class ScenarioConfig:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
-        if not (isinstance(self.horizon_days, (int, float)) and self.horizon_days > 0):
-            raise ValueError("horizon_days must be positive")
+        # runners simulate int(horizon_days * 86400) seconds
+        if not (isinstance(self.horizon_days, (int, float))
+                and int(self.horizon_days * 86400) >= 1):
+            raise ValueError(f"horizon_days must cover at least one second, "
+                             f"got {self.horizon_days!r}")
         bg = self.background
         if self.scenario in CLUSTER_RUNS and \
                 bool(bg.target_utilization) == (bg.trace_path is not None):

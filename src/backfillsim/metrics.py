@@ -1,19 +1,17 @@
 """Availability and consumption accounting.
 
-A simulated run with `availability_credit: rate` (the default) takes
-backfill availability from the exact `AvailabilityLedger`: the integral
-of free plus backfill-held nodes over time. From slot observations alone,
-availability is a sum over polls. The `rate` credit gives each poll
-nodes x cores x poll_interval, a sampled step function integrated over
-time; `window_report` falls back to it when no availability is passed
-in. The `walltime` credit gives each poll nodes x cores x reported
-walltime; runs set to `availability_credit: walltime` and trace replays
-use it. On a live run it double-counts overlapping observations and can
-make used/avail exceed 1.
+Availability comes from one of two sources. A simulated run with
+`availability_credit: rate` (the default) integrates the exact
+`AvailabilityLedger`: free plus backfill-held nodes over time. Runs set
+to `availability_credit: walltime`, and trace replays, credit each poll
+inside the window with nodes x cores x reported walltime; on a live run
+this double-counts overlapping observations and can make used/avail
+exceed 1.
 
-Consumption is exact: every job contributes nodes x cores x held time,
-split across report windows by overlap. Counts (jobs, events) attribute
-to the window containing their completion instant.
+Consumption and counts come from the finished bundles. Each bundle
+contributes nodes x cores x held time, split across report windows by
+overlap; its payload and event counts go to the window containing its
+end.
 """
 
 from __future__ import annotations
@@ -35,33 +33,6 @@ class PollRecord:
             raise ValueError(f"negative field in poll record {self}")
 
 
-@dataclass(frozen=True)
-class ConsumptionRecord:
-    job_id: str
-    nodes: int
-    start: int
-    end: int
-    cores_per_node: int
-
-    def __post_init__(self):
-        if self.end <= self.start:
-            raise ValueError(f"record {self.job_id}: end {self.end} <= start {self.start}")
-
-    @property
-    def core_hours(self) -> float:
-        return self.nodes * self.cores_per_node * (self.end - self.start) / 3600.0
-
-
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """One payload's final accounting: done or failed(cause)."""
-
-    time: int
-    done: bool
-    events: int
-    cause: Optional[str] = None
-
-
 @dataclass
 class WindowReport:
     window_start: int
@@ -79,54 +50,29 @@ def _overlap(a0: int, a1: int, b0: int, b1: int) -> int:
 
 
 def total_backfill_availability(polls: Sequence[PollRecord], window: tuple[int, int],
-                                poll_interval_s: int, cores_per_node: int,
-                                credit: str = "rate") -> float:
-    """Core-hours of backfill availability observed inside `window`."""
+                                cores_per_node: int) -> float:
+    """Walltime credit: core-hours of the polls observed inside `window`."""
     w0, w1 = window
     total = 0.0
-    if credit == "rate":
-        for p in polls:
-            dt = _overlap(p.observed_at, p.observed_at + poll_interval_s, w0, w1)
-            total += p.nodes * cores_per_node * dt / 3600.0
-    elif credit == "walltime":
-        for p in polls:
-            if w0 <= p.observed_at < w1:
-                total += p.nodes * cores_per_node * p.walltime / 3600.0
-    else:
-        raise ValueError(f"credit must be 'rate' or 'walltime', got {credit!r}")
+    for p in polls:
+        if w0 <= p.observed_at < w1:
+            total += p.nodes * cores_per_node * p.walltime / 3600.0
     return total
 
 
-def consumed_core_hours(records: Iterable[ConsumptionRecord],
-                        window: tuple[int, int]) -> float:
+def window_report(bundles: Iterable, window: tuple[int, int], cores_per_node: int,
+                  avail_core_hours: float) -> WindowReport:
+    """Aggregate one accounting window over finished bundles (`broker.Bundle`)."""
     w0, w1 = window
-    total = 0.0
-    for r in records:
-        dt = _overlap(r.start, r.end, w0, w1)
-        total += r.nodes * r.cores_per_node * dt / 3600.0
-    return total
-
-
-def window_report(polls: Sequence[PollRecord], consumption: Iterable[ConsumptionRecord],
-                  outcomes: Iterable[OutcomeRecord], window: tuple[int, int],
-                  poll_interval_s: int, cores_per_node: int,
-                  avail_core_hours: Optional[float] = None) -> WindowReport:
-    """Aggregate one accounting window. `avail_core_hours` overrides the
-    poll-based estimate when an exact availability integral is available."""
-    w0, w1 = window
-    if avail_core_hours is None:
-        avail_core_hours = total_backfill_availability(
-            polls, window, poll_interval_s, cores_per_node)
-    used = consumed_core_hours(consumption, window)
+    used = 0.0
     jobs_done = jobs_failed = events_done = 0
-    for o in outcomes:
-        if not w0 <= o.time < w1:
-            continue
-        if o.done:
-            jobs_done += 1
-            events_done += o.events
-        else:
-            jobs_failed += 1
+    for b in bundles:
+        used += b.nodes * cores_per_node * _overlap(b.start_time, b.end_time, w0, w1) / 3600.0
+        if w0 <= b.end_time < w1:
+            done = b.payloads_done
+            jobs_done += done
+            jobs_failed += b.payloads_failed
+            events_done += done * b.events_per_payload
     eff = used / avail_core_hours if avail_core_hours > 0 else None
     return WindowReport(w0, w1, avail_core_hours, used, eff,
                         jobs_done, jobs_failed, events_done)
@@ -157,13 +103,16 @@ class AvailabilityLedger:
         elif not self.segments or self.segments[-1][1] != level:
             self.segments.append((self.sim.now, level))
 
-    def core_hours(self, window: tuple[int, int], cores_per_node: int) -> float:
+    def node_seconds(self, window: tuple[int, int]) -> int:
         w0, w1 = window
-        total = 0.0
+        total = 0
         for i, (t, level) in enumerate(self.segments):
             t_next = self.segments[i + 1][0] if i + 1 < len(self.segments) else w1
             total += level * _overlap(t, t_next, w0, w1)
-        return total * cores_per_node / 3600.0
+        return total
+
+    def core_hours(self, window: tuple[int, int], cores_per_node: int) -> float:
+        return self.node_seconds(window) * cores_per_node / 3600.0
 
 
 def month_windows(start_date: str, horizon_s: int) -> list[tuple[str, int, int]]:

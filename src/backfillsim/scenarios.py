@@ -62,10 +62,9 @@ class RunManifest:
 
 
 def _schedule_background(sim: Simulation, cluster: EasyBackfillScheduler,
-                         bg: BackgroundLoadProfile, horizon: int) -> list[BatchJob]:
+                         bg: BackgroundLoadProfile, horizon: int) -> None:
     total = cluster.config.total_nodes
     cap = cluster.config.cap_for(total, CAPABILITY)
-    jobs: list[BatchJob] = []
     if bg.trace_path is not None:
         stream = ((j.submit, j.nodes, j.runtime, j.walltime)
                   for j in ingest_swf(bg.trace_path) if j.submit < horizon)
@@ -78,20 +77,18 @@ def _schedule_background(sim: Simulation, cluster: EasyBackfillScheduler,
         runtime = min(runtime, walltime)
         job = BatchJob(nodes=nodes, walltime=walltime, runtime=max(1, runtime),
                        priority_class=CAPABILITY)
-        jobs.append(job)
         sim.schedule(submit, "capability_arrival",
                      lambda j=job: cluster.submit(j), target="background")
-    return jobs
 
 
-def measured_utilization(jobs: list[BatchJob], total_nodes: int, horizon: int) -> float:
-    busy = 0
-    for job in jobs:
-        if job.start_time is None:
-            continue
-        end = job.end_time if job.end_time is not None else horizon
-        busy += job.nodes * max(0, min(end, horizon) - job.start_time)
-    return busy / (total_nodes * horizon)
+def measured_utilization(ledger: AvailabilityLedger, total_nodes: int, horizon: int) -> float:
+    """Share of node-seconds in [0, horizon) that capability jobs held.
+
+    Only capability and backfill jobs run on the EASY cluster, so every node
+    that is neither free nor backfill-held (the ledger's level) is busy with
+    a capability job. Integer arithmetic keeps the ratio exact."""
+    capacity = total_nodes * horizon
+    return (capacity - ledger.node_seconds((0, horizon))) / capacity
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -120,7 +117,7 @@ def _run_cluster(cfg: ScenarioConfig, with_brokers: bool, n_brokers: int | None 
     sim = Simulation(seed=cfg.seed)
     cluster = EasyBackfillScheduler(sim, cfg.cluster)
     ledger = AvailabilityLedger(sim, cluster)
-    background = _schedule_background(sim, cluster, cfg.background, horizon)
+    _schedule_background(sim, cluster, cfg.background, horizon)
     poller = MetricsPoller(sim, cluster, cfg.metrics.poll_interval_s)
     poller.start(0)
     fleet = None
@@ -129,30 +126,30 @@ def _run_cluster(cfg: ScenarioConfig, with_brokers: bool, n_brokers: int | None 
         fleet = BrokerFleet(sim, cluster, broker, cfg.workload)
         fleet.start(0)
     sim.run_until(horizon)
-    return sim, cluster, ledger, background, poller, fleet, horizon
+    return cluster, ledger, poller, fleet, horizon
 
 
 def _window_reports(cfg: ScenarioConfig, ledger, poller, fleet, horizon: int):
     credit = cfg.metrics.availability_credit
-    interval = cfg.metrics.poll_interval_s
     cores = cfg.cluster.cores_per_node
-    consumption = fleet.consumption if fleet else []
-    outcomes = fleet.outcomes if fleet else []
+    bundles = fleet.bundles if fleet else []
     reports = []
     for label, w0, w1 in month_windows(cfg.start_date, horizon):
         if credit == "rate":
             avail = ledger.core_hours((w0, w1), cores)
         else:
-            avail = total_backfill_availability(poller.polls, (w0, w1), interval,
-                                                cores, credit="walltime")
-        reports.append((label, window_report(poller.polls, consumption, outcomes,
-                                             (w0, w1), interval, cores,
-                                             avail_core_hours=avail)))
+            avail = total_backfill_availability(poller.polls, (w0, w1), cores)
+        reports.append((label, window_report(bundles, (w0, w1), cores, avail)))
     return reports
 
 
-def _efficiency_outputs(cfg: ScenarioConfig, out_dir: Path, sim, cluster, ledger, background,
-                        poller, fleet, horizon) -> list[Path]:
+def _used_core_hours(bundles, cores_per_node: int) -> float:
+    return sum(b.nodes * cores_per_node * (b.end_time - b.start_time) / 3600.0
+               for b in bundles)
+
+
+def _efficiency_outputs(cfg: ScenarioConfig, out_dir: Path, cluster, ledger, poller, fleet,
+                        horizon) -> list[Path]:
     files = []
     slots_path = out_dir / "slots.csv"
     emit_poll_trace(slots_path, poller.polls)
@@ -187,12 +184,12 @@ def _efficiency_outputs(cfg: ScenarioConfig, out_dir: Path, sim, cluster, ledger
         "mean_slot_nodes": round(stats["mean_nodes"], 3),
         "mean_slot_walltime_s": round(stats["mean_walltime_s"], 3),
         "capability_utilization": round(
-            measured_utilization(background, cluster.config.total_nodes, horizon), 5),
+            measured_utilization(ledger, cluster.config.total_nodes, horizon), 5),
         "avail_core_hours": round(ledger.core_hours((0, horizon),
                                                     cluster.config.cores_per_node), 3),
     }
     if fleet is not None:
-        used = sum(r.core_hours for r in fleet.consumption)
+        used = _used_core_hours(fleet.bundles, cluster.config.cores_per_node)
         summary.update({
             "used_core_hours": round(used, 3),
             "efficiency": round(used / summary["avail_core_hours"], 5)
@@ -221,10 +218,11 @@ def run_broker_count(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     counts = sorted({4, cfg.broker.n_brokers})
     rows = []
     for count in counts:
-        sim, cluster, ledger, background, poller, fleet, horizon = _run_cluster(
-            cfg, with_brokers=True, n_brokers=count)
-        used = sum(r.core_hours for r in fleet.consumption)
-        avail = ledger.core_hours((0, horizon), cluster.config.cores_per_node)
+        cluster, ledger, _, fleet, horizon = _run_cluster(cfg, with_brokers=True,
+                                                          n_brokers=count)
+        cores = cluster.config.cores_per_node
+        used = _used_core_hours(fleet.bundles, cores)
+        avail = ledger.core_hours((0, horizon), cores)
         rows.append([count, f"{used:.3f}", f"{avail:.3f}",
                      f"{used / avail:.6f}" if avail else "",
                      len(fleet.bundles), sum(b.payloads_done for b in fleet.bundles)])
@@ -354,15 +352,11 @@ def run_replay_efficiency(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     fleet.start(0)
     sim.run_until(horizon)
 
-    interval = cfg.metrics.poll_interval_s
     cores = cfg.cluster.cores_per_node
     reports = []
     for label, w0, w1 in month_windows(cfg.start_date, horizon):
-        avail = total_backfill_availability(records, (w0, w1), interval, cores,
-                                            credit="walltime")
-        reports.append((label, window_report(records, fleet.consumption,
-                                             fleet.outcomes, (w0, w1), interval,
-                                             cores, avail_core_hours=avail)))
+        avail = total_backfill_availability(records, (w0, w1), cores)
+        reports.append((label, window_report(fleet.bundles, (w0, w1), cores, avail)))
     files = []
     monthly = out_dir / "monthly_report.csv"
     write_window_reports(monthly, reports)

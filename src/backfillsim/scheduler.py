@@ -132,7 +132,6 @@ class _JobLifecycle:
         self.config = config
         self.running: dict[str, BatchJob] = {}
         self._queued_ids: set[str] = set()
-        self.finished: list[BatchJob] = []
         self.backfill_nodes_held = 0
         self._submit_counter = 0
 
@@ -199,7 +198,6 @@ class _JobLifecycle:
         job.killed = (job.end_time - job.start_time) >= job.walltime
         if job.priority_class == BACKFILL:
             self.backfill_nodes_held -= job.nodes
-        self.finished.append(job)
         self._ended(job)
         if job.on_end is not None:
             job.on_end(job)

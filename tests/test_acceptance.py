@@ -10,9 +10,10 @@ import pytest
 
 from backfillsim import (ScenarioConfig, SimJobSpec, WorkloadConfig,
                          job_makespans_batch, resolve_config, stream_rng)
-from backfillsim.metrics import month_windows
-from backfillsim.scenarios import (_run_cluster, _run_one_pilot, consume_slot_broker,
-                                   consume_slot_pilot, run_scenario, synthetic_slots)
+from backfillsim.metrics import month_windows, window_report
+from backfillsim.scenarios import (_run_cluster, _run_one_pilot, _used_core_hours,
+                                   consume_slot_broker, consume_slot_pilot, run_scenario,
+                                   synthetic_slots)
 from backfillsim.traces import trace_summary
 
 from test_scheduler import assert_matches_oracle, honesty_trial
@@ -115,7 +116,7 @@ def test_criterion_04_makespan():
 
 
 def test_criterion_05_broker_floors(efficiency_month):
-    cfg, (sim, cluster, ledger, bg, poller, fleet, horizon), _ = efficiency_month
+    cfg, (cluster, ledger, poller, fleet, horizon), _ = efficiency_month
     bad = [b for b in fleet.bundles
            if b.walltime < 6300 or not 15 <= b.nodes <= 300]
     check("criterion 5 (bundle floors)", len(fleet.bundles) > 0 and not bad,
@@ -124,7 +125,7 @@ def test_criterion_05_broker_floors(efficiency_month):
 
 
 def test_criterion_06_efficiency_band(efficiency_month, calibration_month):
-    _, (csim, ccluster, cledger, cbg, cpoller, _, chorizon) = calibration_month
+    _, (ccluster, cledger, cpoller, _, chorizon) = calibration_month
     stats = trace_summary(cpoller.polls)
     nodes_ok = 0.7 * FIG4_NODES <= stats["mean_nodes"] <= 1.3 * FIG4_NODES
     wall_ok = 0.7 * FIG4_WALLTIME_S <= stats["mean_walltime_s"] <= 1.3 * FIG4_WALLTIME_S
@@ -135,22 +136,19 @@ def test_criterion_06_efficiency_band(efficiency_month, calibration_month):
           f"{stats['mean_walltime_s']:.0f}s walltime "
           f"(band {0.7*FIG4_WALLTIME_S:.0f}..{1.3*FIG4_WALLTIME_S:.0f})")
 
-    cfg, (sim, cluster, ledger, bg, poller, fleet, horizon), wall = efficiency_month
+    cfg, (cluster, ledger, poller, fleet, horizon), wall = efficiency_month
     cores = cluster.config.cores_per_node
     for label, w0, w1 in month_windows(cfg.start_date, horizon):
         avail = ledger.core_hours((w0, w1), cores)
-        used = sum(r.core_hours for r in fleet.consumption
-                   if r.start < w1 and r.end > w0)
-        # exact windowed consumption for the used <= avail bound
-        from backfillsim.metrics import consumed_core_hours
-        used = consumed_core_hours(fleet.consumption, (w0, w1))
+        # exact windowed consumption of the bundles for the used <= avail bound
+        used = window_report(fleet.bundles, (w0, w1), cores, avail).used_core_hours
         eff = used / avail
         check(f"criterion 6b (efficiency band, {label})",
               0.078 <= eff <= 0.309 and used <= avail,
               f"efficiency {eff:.4f} in [0.078, 0.309]; used {used:.0f} <= "
               f"avail {avail:.0f} core-hours (exact)")
-    jobs_done = sum(1 for o in fleet.outcomes if o.done)
-    events_done = sum(o.events for o in fleet.outcomes)
+    jobs_done = sum(b.payloads_done for b in fleet.bundles)
+    events_done = sum(b.payloads_done * b.events_per_payload for b in fleet.bundles)
     check("criterion 6c (events identity)",
           jobs_done > 0 and events_done == jobs_done * 100,
           f"{jobs_done} payloads x 100 events == {events_done} events processed")
@@ -159,10 +157,10 @@ def test_criterion_06_efficiency_band(efficiency_month, calibration_month):
 
 
 def test_criterion_07_broker_count_effect(efficiency_month, efficiency_month_4brokers):
-    _, (_, _, _, _, _, fleet20, _), wall20 = efficiency_month
-    _, (_, _, _, _, _, fleet4, _), wall4 = efficiency_month_4brokers
-    used20 = sum(r.core_hours for r in fleet20.consumption)
-    used4 = sum(r.core_hours for r in fleet4.consumption)
+    cfg, (_, _, _, fleet20, _), wall20 = efficiency_month
+    _, (_, _, _, fleet4, _), wall4 = efficiency_month_4brokers
+    used20 = _used_core_hours(fleet20.bundles, cfg.cluster.cores_per_node)
+    used4 = _used_core_hours(fleet4.bundles, cfg.cluster.cores_per_node)
     check("criterion 7 (broker-count effect)",
           used20 > used4 and wall4 + wall20 < 600,
           f"same seed and background: 20 brokers consumed {used20/1e6:.2f}M "

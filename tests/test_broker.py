@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from backfillsim import (BrokerConfig, BrokerFleet, ClusterConfig,
+from backfillsim import (BrokerConfig, BrokerFleet, Bundle, ClusterConfig,
                          EasyBackfillScheduler, FailureModel, ReplayScheduler,
                          Simulation, WorkloadConfig, bundle_outcomes, stream_rng,
-                         window_report)
-from backfillsim.metrics import ConsumptionRecord, PollRecord
+                         total_backfill_availability, window_report)
+from backfillsim.metrics import PollRecord
 
 WORKLOAD = WorkloadConfig()  # setup_s 265, contention at the calibrated means
 MODEL = WORKLOAD.payload_model
@@ -147,7 +147,7 @@ def test_every_payload_has_exactly_one_outcome():
     sim.run_until(40_000)
     bundle = fleet.bundles[0]
     assert bundle.payloads_done + bundle.payloads_failed == bundle.nodes
-    assert len(fleet.outcomes) == bundle.nodes
+    assert len(bundle.outcomes) == bundle.nodes
 
 
 def test_failure_mix_must_sum_to_one():
@@ -158,10 +158,10 @@ def test_failure_mix_must_sum_to_one():
 # -- efficiency ------------------------------------------------------------------
 
 
-def fleet_efficiency(polls, consumption, window):
+def fleet_efficiency(polls, bundles, window):
     # the fleet's efficiency is the window report's used over available
-    return window_report(polls, consumption, [], window, poll_interval_s=60,
-                         cores_per_node=16).efficiency
+    avail = total_backfill_availability(polls, window, cores_per_node=16)
+    return window_report(bundles, window, 16, avail).efficiency
 
 
 def test_fleet_efficiency_nothing_consumed_is_zero():
@@ -170,8 +170,9 @@ def test_fleet_efficiency_nothing_consumed_is_zero():
 
 
 def test_fleet_efficiency_equal_ledgers_is_one():
-    polls = [PollRecord(0, 100, 3600)]
-    used = [ConsumptionRecord("b", 100, 0, 60, cores_per_node=16)]
+    polls = [PollRecord(0, 100, 60)]
+    used = [Bundle("b", nodes=100, walltime=60, events_per_payload=100, submit_time=0,
+                   start_time=0, end_time=60)]
     assert fleet_efficiency(polls, used, (0, 60)) == pytest.approx(1.0)
 
 

@@ -150,6 +150,13 @@ def test_cli_sweep_rejects_malformed_param(tmp_path, capsys):
     assert "key=v1,v2" in capsys.readouterr().err
 
 
+def test_cli_sweep_rejects_a_key_path_through_a_scalar(tmp_path, capsys):
+    cfg = write_yaml(tmp_path / "t.yaml", {"scenario": "weak_scaling"})
+    assert main(["sweep", str(cfg), "--param", "seed.x=1,2",
+                 "--base-dir", str(tmp_path)]) == 2
+    assert "'seed.x'" in capsys.readouterr().err
+
+
 # -- the configuration contract --------------------------------------------------
 
 # config_hash of each shipped config, as recorded in the tracked manifests;
@@ -204,6 +211,7 @@ BAD_INPUTS = [
     ({"workload": {"event_mean_s": 5000}}, "workload: event_mean_s"),
     ({"scenario": "weak_scaling", "pilot": {"queue": "capabilty"}}, "pilot: queue"),
     ({"pilot": {"nodes_list": [0]}}, "pilot: nodes_list"),
+    ({"horizon_days": 1e-6}, "horizon_days"),
 ]
 
 

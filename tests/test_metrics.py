@@ -2,67 +2,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backfillsim import (AvailabilityLedger, BACKFILL, BatchJob, ClusterConfig,
-                         ConsumptionRecord, EasyBackfillScheduler, OutcomeRecord,
-                         PollRecord, Simulation, consumed_core_hours, month_windows,
+from backfillsim import (AvailabilityLedger, BACKFILL, BatchJob, Bundle, ClusterConfig,
+                         EasyBackfillScheduler, PollRecord, Simulation, month_windows,
                          total_backfill_availability, window_report)
 from backfillsim.metrics import write_window_reports
+
+
+def finished_bundle(nodes, start, end, done=0, failed=0, events=100):
+    return Bundle(id=f"b-{start}-{end}", nodes=nodes, walltime=end - start,
+                  events_per_payload=events, submit_time=start, start_time=start,
+                  end_time=end, outcomes=[None] * done + ["payload"] * failed)
 
 
 def test_record_validation():
     with pytest.raises(ValueError):
         PollRecord(0, -1, 10)
-    with pytest.raises(ValueError):
-        ConsumptionRecord("x", 10, 100, 100, cores_per_node=16)
 
 
 def test_no_polls_is_zero_availability():
-    assert total_backfill_availability([], (0, 3600), 60, 16) == 0.0
-
-
-def test_single_poll_rate_credit_arithmetic():
-    polls = [PollRecord(0, 691, 7560)]
-    got = total_backfill_availability(polls, (0, 3600), poll_interval_s=60,
-                                      cores_per_node=16)
-    assert got == pytest.approx(691 * 16 * 60 / 3600)  # ~184.3 core-hours
+    assert total_backfill_availability([], (0, 3600), 16) == 0.0
 
 
 def test_walltime_credit_mode():
     polls = [PollRecord(0, 691, 7560)]
-    got = total_backfill_availability(polls, (0, 3600), poll_interval_s=60,
-                                      cores_per_node=16, credit="walltime")
+    got = total_backfill_availability(polls, (0, 3600), cores_per_node=16)
     assert got == pytest.approx(691 * 16 * 7560 / 3600)
-    with pytest.raises(ValueError):
-        total_backfill_availability(polls, (0, 3600), 60, 16, credit="nope")
 
 
 def test_consumption_overlap_split():
-    rec = ConsumptionRecord("b", 10, 100, 200, cores_per_node=16)
-    full = consumed_core_hours([rec], (0, 1000))
-    first = consumed_core_hours([rec], (0, 150))
-    second = consumed_core_hours([rec], (150, 1000))
-    assert full == pytest.approx(10 * 16 * 100 / 3600)
-    assert first + second == pytest.approx(full)
+    b = finished_bundle(10, 100, 200, done=8, failed=2)
+    full = window_report([b], (0, 1000), 16, 1.0)
+    first = window_report([b], (0, 150), 16, 1.0)
+    second = window_report([b], (150, 1000), 16, 1.0)
+    assert full.used_core_hours == pytest.approx(10 * 16 * 100 / 3600)
+    assert first.used_core_hours + second.used_core_hours == pytest.approx(
+        full.used_core_hours)
+    # counts go to the window holding the bundle's end
+    assert (first.jobs_done, first.jobs_failed, first.events_done) == (0, 0, 0)
+    assert (second.jobs_done, second.jobs_failed, second.events_done) == (8, 2, 800)
 
 
 def test_report_equal_ledgers_efficiency_one():
-    polls = [PollRecord(0, 100, 7200)]
-    used = [ConsumptionRecord("b", 100, 0, 60, cores_per_node=16)]
-    report = window_report(polls, used, [], (0, 60), poll_interval_s=60, cores_per_node=16)
+    avail = total_backfill_availability([PollRecord(0, 100, 60)], (0, 60), 16)
+    report = window_report([finished_bundle(100, 0, 60)], (0, 60), 16, avail)
     assert report.efficiency == pytest.approx(1.0)
 
 
 def test_report_zero_availability_has_absent_efficiency():
-    report = window_report([], [], [], (0, 60), poll_interval_s=60, cores_per_node=16)
+    report = window_report([], (0, 60), 16, 0.0)
     assert report.efficiency is None
 
 
 def test_events_identity_under_fixed_sizing():
-    outcomes = [OutcomeRecord(time=i, done=True, events=100) for i in range(2250)]
-    outcomes += [OutcomeRecord(time=i, done=False, events=0, cause="payload")
-                 for i in range(300)]
-    report = window_report([], [], outcomes, (0, 10_000), poll_interval_s=60,
-                           cores_per_node=16)
+    bundles = [finished_bundle(102, i, i + 100, done=90, failed=12) for i in range(25)]
+    report = window_report(bundles, (0, 10_000), 16, 1.0)
     assert report.jobs_done == 2250
     assert report.jobs_failed == 300
     assert report.events_done == report.jobs_done * 100
@@ -77,13 +70,14 @@ def test_events_identity_under_fixed_sizing():
 def test_windowed_reports_are_additive(poll_specs, cut):
     polls = sorted((PollRecord(t, n, w) for t, n, w in poll_specs),
                    key=lambda p: p.observed_at)
-    consumption = [ConsumptionRecord(f"c{i}", n + 1, t, t + w + 1, 16)
-                   for i, (t, n, w) in enumerate(poll_specs)]
-    outcomes = [OutcomeRecord(time=t, done=bool(n % 2), events=100 * (n % 2))
-                for t, n, _ in poll_specs]
-    whole = window_report(polls, consumption, outcomes, (0, 500), 60, 16)
-    left = window_report(polls, consumption, outcomes, (0, cut), 60, 16)
-    right = window_report(polls, consumption, outcomes, (cut, 500), 60, 16)
+    bundles = [finished_bundle(n + 1, t, t + w + 1, done=n % 3, failed=n % 2)
+               for t, n, w in poll_specs]
+
+    def report(window):
+        avail = total_backfill_availability(polls, window, 16)
+        return window_report(bundles, window, 16, avail)
+
+    whole, left, right = report((0, 500)), report((0, cut)), report((cut, 500))
     assert left.avail_core_hours + right.avail_core_hours == pytest.approx(
         whole.avail_core_hours)
     assert left.used_core_hours + right.used_core_hours == pytest.approx(
@@ -106,6 +100,7 @@ def test_ledger_tracks_exact_backfill_availability():
     sim.run()
     # availability = free + backfill-held = 10 - capability-held
     # capability job holds 6 nodes for 100 s, afterwards everything is free
+    assert ledger.node_seconds((0, 200)) == 4 * 100 + 10 * 100
     expected = (4 * 100 + 10 * 100) * 16 / 3600
     assert ledger.core_hours((0, 200), 16) == pytest.approx(expected)
 
@@ -118,12 +113,11 @@ def test_used_never_exceeds_exact_availability():
     sched = EasyBackfillScheduler(sim, cfg)
     ledger = AvailabilityLedger(sim, sched)
     rng = sim.rng("mix")
-    consumption = []
+    backfill_jobs = []
 
     def record(job):
         if job.priority_class == BACKFILL:
-            consumption.append(ConsumptionRecord(job.id, job.nodes, job.start_time,
-                                                 job.end_time, 16))
+            backfill_jobs.append(job)
 
     for _ in range(120):
         klass = BACKFILL if rng.random() < 0.5 else "capability"
@@ -136,7 +130,7 @@ def test_used_never_exceeds_exact_availability():
                      lambda j=job: sched.submit(j))
     sim.run()
     horizon = sim.now + 1
-    used = consumed_core_hours(consumption, (0, horizon))
+    used = sum(j.nodes * 16 * (j.end_time - j.start_time) / 3600 for j in backfill_jobs)
     avail = ledger.core_hours((0, horizon), 16)
     assert used <= avail + 1e-9
 
@@ -150,7 +144,8 @@ def test_month_windows_track_the_calendar():
 
 
 def test_write_window_reports(tmp_path):
-    report = window_report([PollRecord(0, 10, 60)], [], [], (0, 60), 60, 16)
+    avail = total_backfill_availability([PollRecord(0, 10, 60)], (0, 60), 16)
+    report = window_report([], (0, 60), 16, avail)
     path = tmp_path / "monthly.csv"
     write_window_reports(path, [("2016-01", report)])
     lines = path.read_text().strip().splitlines()

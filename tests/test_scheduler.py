@@ -183,14 +183,17 @@ def test_capacity_respected_under_load():
     sim, sched = make(total_nodes=6)
     rng = sim.rng("load")
     worst = []
+    ended = []
     for i in range(60):
         sim.schedule(int(rng.integers(0, 200)), "arrive",
                      lambda n=int(rng.integers(1, 7)), w=int(rng.integers(1, 40)):
-                     sched.submit(BatchJob(nodes=n, walltime=w, runtime=w)))
+                     sched.submit(BatchJob(nodes=n, walltime=w, runtime=w,
+                                           on_end=ended.append)))
     sched.state_listeners.append(lambda: worst.append(sched.free_nodes))
     sim.run()
     assert min(worst) >= 0
-    assert all(j.start_time is not None for j in sched.finished)
+    assert len(ended) == 60
+    assert all(j.start_time is not None for j in ended)
 
 
 # -- oracle equivalence -------------------------------------------------------
