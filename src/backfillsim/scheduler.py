@@ -218,6 +218,7 @@ class EasyBackfillScheduler(_JobLifecycle):
         self.strict_checks = strict_checks
         self.state_listeners: list[Callable[[], None]] = []
         self._pass_event: Optional[SimEvent] = None
+        self._releases: list[tuple[SimTime, int, int]] = []  # sorted (end, seq, nodes)
 
     # -- public operations ----------------------------------------------------
 
@@ -294,13 +295,15 @@ class EasyBackfillScheduler(_JobLifecycle):
         # and free nodes and `extra` only shrink, so a job skipped here
         # stays skipped: one scan over the rest of the queue suffices.
         res, extra = self._reservation()
+        now, shadow, free = self.sim.now, res.start, self.free_nodes
         for job in self.queue[1:]:
-            if job.nodes > self.free_nodes:
+            if job.nodes > free:
                 continue
-            runs_past = self.sim.now + job.walltime > res.start
+            runs_past = now + job.walltime > shadow
             if runs_past and job.nodes > extra:
                 continue
             self._dispatch(job)
+            free = self.free_nodes
             dispatched.append(job)
             if runs_past:
                 extra -= job.nodes
@@ -323,9 +326,15 @@ class EasyBackfillScheduler(_JobLifecycle):
         self._start(job)
 
     def _started(self, job: BatchJob) -> None:
+        bisect.insort(self._releases, (job.start_time + job.walltime, job._seq, job.nodes))
         self._touch()
 
     def _ended(self, job: BatchJob) -> None:
+        key = (job.start_time + job.walltime, job._seq, job.nodes)
+        i = bisect.bisect_left(self._releases, key)
+        if i == len(self._releases) or self._releases[i] != key:
+            raise AssertionError(f"ended job {job.id} has no projected release {key}")
+        del self._releases[i]
         self.free_nodes += job.nodes
         self._touch()
         self._request_pass()
@@ -333,22 +342,24 @@ class EasyBackfillScheduler(_JobLifecycle):
     def _reservation(self) -> tuple[Optional[Reservation], int]:
         """The queue head's reservation and `extra`, the nodes still free at its
         start once it begins (a job no wider may run past it), from one walk
-        over the running jobs' projected releases; `(None, 0)` if none queued."""
+        over the projected releases that `_started`/`_ended` keep sorted, so
+        no call sorts; `(None, 0)` if none queued."""
         if not self.queue:
             return None, 0
         head = self.queue[0]
-        releases = sorted((job.start_time + job.walltime, job.nodes)
-                          for job in self.running.values())
-        start, free, i = self.sim.now, self.free_nodes, 0
-        while free < head.nodes:
-            if i == len(releases):
-                raise AssertionError("job can never start; capacity invariant broken")
-            start, nodes = releases[i]
-            free += nodes
-            i += 1
-        while i < len(releases) and releases[i][0] <= start:
-            free += releases[i][1]
-            i += 1
+        releases = self._releases
+        if self.strict_checks and releases != sorted(
+                (j.start_time + j.walltime, j._seq, j.nodes) for j in self.running.values()):
+            raise AssertionError(f"projected releases {releases} drifted from the running jobs")
+        # Ends are sorted and >= now: advance to each until the head fits, then
+        # take the rest that end at that same instant.
+        start, free = self.sim.now, self.free_nodes
+        for end, _, nodes in releases:
+            if free >= head.nodes and end > start:
+                break
+            start, free = end, free + nodes
+        if free < head.nodes:
+            raise AssertionError("job can never start; capacity invariant broken")
         return Reservation(head.id, head.nodes, start, start + head.walltime), free - head.nodes
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,27 +36,28 @@ def stream_rng(seed: int, stream_id: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_stream_entropy(seed, stream_id)))
 
 
-@dataclass(order=True)
+@dataclass
 class SimEvent:
     fire_at: SimTime
     seq: int
-    kind: str = field(compare=False)
-    target: Optional[str] = field(compare=False, default=None)
-    callback: Optional[Callable[[], None]] = field(compare=False, default=None)
-    cancelled: bool = field(compare=False, default=False)
+    kind: str
+    target: Optional[str] = None
+    callback: Optional[Callable[[], None]] = None
+    cancelled: bool = False
 
 
 class Simulation:
     """Virtual clock + event queue + per-entity RNG streams.
 
     Events fire in (fire_at, seq) order; seq is the insertion counter, so
-    simultaneous events replay in the order they were scheduled.
+    simultaneous events replay in the order they were scheduled. The heap holds
+    `(fire_at, seq, event)` tuples: seq is unique, so no comparison reaches the event.
     """
 
     def __init__(self, seed: int = 0, record_trace: bool = False):
         self.seed = seed
         self.now: SimTime = 0
-        self._queue: list[SimEvent] = []
+        self._queue: list[tuple[SimTime, int, SimEvent]] = []
         self._seq = 0
         self._streams: dict[str, np.random.Generator] = {}
         self.record_trace = record_trace
@@ -85,7 +86,7 @@ class Simulation:
                 f"event {kind!r} scheduled at t={fire_at} but clock is {self.now}")
         ev = SimEvent(int(fire_at), self._seq, kind, target, callback)
         self._seq += 1
-        heapq.heappush(self._queue, ev)
+        heapq.heappush(self._queue, (ev.fire_at, ev.seq, ev))
         return ev
 
     def schedule_in(self, delay: SimTime, kind: str,
@@ -103,8 +104,8 @@ class Simulation:
         The clock ends at the time of the last fired event (never past
         `limit`); an empty queue returns immediately.
         """
-        while self._queue and self._queue[0].fire_at <= limit:
-            ev = heapq.heappop(self._queue)
+        while self._queue and self._queue[0][0] <= limit:
+            ev = heapq.heappop(self._queue)[2]
             if ev.cancelled:
                 continue
             self.now = ev.fire_at

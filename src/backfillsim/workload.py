@@ -19,6 +19,7 @@ timing.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -344,19 +345,21 @@ def generate_background_jobs(profile: BackgroundLoadProfile, horizon_s: int,
     work_per_job = profile.mean_nodes() * profile.mean_runtime()
     rate = u * total_nodes / work_per_job  # arrivals per second
     weights = np.array([w for w, _, _ in profile.size_mix])
-    weights = weights / weights.sum()
+    # rng.choice(p=weights) draws random() into this renormalised cumsum, side="right"
+    cdf = np.cumsum(weights / weights.sum())
+    cdf = (cdf / cdf[-1]).tolist()
     mu = math.log(profile.runtime_mean_s) - 0.5 * profile.runtime_sigma ** 2
     t = 0.0
     while True:
         t += rng.exponential(1.0 / rate)
         if t >= horizon_s:
             return
-        band = rng.choice(len(weights), p=weights)
+        band = bisect.bisect_right(cdf, rng.random())
         _, lo, hi = profile.size_mix[band]
         nodes = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi + 1)))))
         nodes = max(lo, min(hi, nodes))
-        runtime = int(np.clip(rng.lognormal(mu, profile.runtime_sigma),
-                              profile.runtime_min_s, profile.runtime_max_s))
+        runtime = int(min(max(rng.lognormal(mu, profile.runtime_sigma),
+                              profile.runtime_min_s), profile.runtime_max_s))
         factor = rng.uniform(profile.walltime_factor_lo, profile.walltime_factor_hi)
         walltime = min(int(math.ceil(runtime * factor)), capability_cap_s)
         runtime = min(runtime, walltime)

@@ -353,6 +353,12 @@ class EasyMachine(RuleBasedStateMachine):
         keys = [_queue_key(j) for j in self.sched.queue]
         assert keys == sorted(keys)
 
+    @invariant()
+    def projected_releases_match_running_jobs(self):
+        rebuilt = sorted((j.start_time + j.walltime, j._seq, j.nodes)
+                         for j in self.sched.running.values())
+        assert self.sched._releases == rebuilt
+
 
 TestEasyMachine = EasyMachine.TestCase
 TestEasyMachine.settings = settings(max_examples=200, stateful_step_count=40)
