@@ -18,14 +18,15 @@ cfg = ScenarioConfig.from_dict(
     resolve_config({"scenario": "efficiency", "seed": 1, "horizon_days": 3}))
 cluster, ledger, poller, fleet, horizon = _run_cluster(cfg, with_brokers=True)
 
-util = measured_utilization(ledger, cluster.config.total_nodes, horizon)
+node_seconds = ledger.node_seconds((0, horizon))  # free plus backfill-held
+util = measured_utilization(node_seconds, cluster.config.total_nodes, horizon)
 stats = trace_summary(poller.polls)
 print(f"capability utilization: {util:.3f}")
 print(f"slot distribution seen by the poller: mean {stats['mean_nodes']:.0f} nodes, "
       f"mean walltime {stats['mean_walltime_s']/60:.0f} min")
 
 cores = cluster.config.cores_per_node
-avail = ledger.core_hours((0, horizon), cores)
+avail = node_seconds * cores / 3600.0
 used = window_report(fleet.bundles, (0, horizon), cores, avail).used_core_hours
 print(f"\nbackfill availability: {avail/1e3:.0f}k core-hours")
 print(f"consumed by {cfg.broker.n_brokers} brokers: {used/1e3:.0f}k "

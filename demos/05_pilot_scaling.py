@@ -17,8 +17,7 @@ from backfillsim.scenarios import _run_one_pilot
 for scenario in ("weak_scaling", "multi_generation", "strong_scaling"):
     cfg = ScenarioConfig.from_dict(resolve_config({"scenario": scenario, "seed": 1}))
     p = cfg.pilot
-    print(f"\n== {scenario} (walltime {p.walltime_s}s, "
-          f"{p.events_per_unit} events/task)")
+    print(f"\n== {scenario} (walltime {p.walltime_s}s)")
     print(f"{'nodes':>6} {'tasks':>6} {'gens':>5} {'pilot_s':>9} "
           f"{'mean_task_s':>12} {'overhead_s':>11}")
     for nodes in p.nodes_list:

@@ -35,8 +35,8 @@ SCENARIOS = (*CLUSTER_RUNS, *PILOT_SCALING, "broker_vs_pilot", "replay_efficienc
 
 # Experiment-specific defaults layered between DEFAULTS and the user's file
 # (the default pilot section is the weak-scaling experiment's).
-_SMALL_UNITS = {"nodes_list": [256, 512, 1024, 2048], "events_per_unit": 16,
-                "unit_mean_s": 1200.0, "unit_sd_s": 5.0, "walltime_s": 10800}
+_SMALL_UNITS = {"nodes_list": [256, 512, 1024, 2048], "unit_mean_s": 1200.0,
+                "unit_sd_s": 5.0, "walltime_s": 10800}
 SCENARIO_PRESETS: dict[str, dict] = {
     "weak_scaling": {"pilot": {"unit_sd_s": 4.0}},
     "multi_generation": {"pilot": {**_SMALL_UNITS, "units_per_node": 5}},

@@ -49,7 +49,6 @@ class PilotConfig(OverheadModel):
 
     unit_mean_s: float = 4650.0
     unit_sd_s: float = 19.0
-    events_per_unit: int = 100
     walltime_s: int = 7200
     nodes_list: tuple[int, ...] = (250, 500, 1000, 2000)
     units_per_node: int = 1

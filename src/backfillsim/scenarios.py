@@ -81,14 +81,16 @@ def _schedule_background(sim: Simulation, cluster: EasyBackfillScheduler,
                      lambda j=job: cluster.submit(j), target="background")
 
 
-def measured_utilization(ledger: AvailabilityLedger, total_nodes: int, horizon: int) -> float:
-    """Share of node-seconds in [0, horizon) that capability jobs held.
+def measured_utilization(available_node_seconds: int, total_nodes: int,
+                         horizon: int) -> float:
+    """Share of node-seconds in [0, horizon) that capability jobs held, from
+    the ledger's `node_seconds((0, horizon))`.
 
     Only capability and backfill jobs run on the EASY cluster, so every node
     that is neither free nor backfill-held (the ledger's level) is busy with
     a capability job. Integer arithmetic keeps the ratio exact."""
     capacity = total_nodes * horizon
-    return (capacity - ledger.node_seconds((0, horizon))) / capacity
+    return (capacity - available_node_seconds) / capacity
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -160,36 +162,26 @@ def _efficiency_outputs(cfg: ScenarioConfig, out_dir: Path, cluster, ledger, pol
     write_window_reports(monthly, reports)
     files.append(monthly)
 
-    ledger_path = out_dir / "ledger.csv"
-    with open(ledger_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_start", "window_end", "avail_core_hours",
-                         "used_core_hours", "efficiency", "jobs_done", "jobs_failed"])
-        for _, r in reports:
-            eff = "" if r.efficiency is None else f"{r.efficiency:.6f}"
-            writer.writerow([r.window_start, r.window_end,
-                             f"{r.avail_core_hours:.3f}", f"{r.used_core_hours:.3f}",
-                             eff, r.jobs_done, r.jobs_failed])
-    files.append(ledger_path)
-
     if fleet is not None:
         bundles_path = out_dir / "bundles.csv"
         fleet.write_bundle_log(bundles_path)
         files.append(bundles_path)
 
     stats = trace_summary(poller.polls)
+    cores = cluster.config.cores_per_node
+    node_seconds = ledger.node_seconds((0, horizon))
     summary = {
         "horizon_s": horizon,
         "poll_count": stats["count"],
         "mean_slot_nodes": round(stats["mean_nodes"], 3),
         "mean_slot_walltime_s": round(stats["mean_walltime_s"], 3),
         "capability_utilization": round(
-            measured_utilization(ledger, cluster.config.total_nodes, horizon), 5),
-        "avail_core_hours": round(ledger.core_hours((0, horizon),
-                                                    cluster.config.cores_per_node), 3),
+            measured_utilization(node_seconds, cluster.config.total_nodes, horizon), 5),
+        # the same float AvailabilityLedger.core_hours returns
+        "avail_core_hours": round(node_seconds * cores / 3600.0, 3),
     }
     if fleet is not None:
-        used = _used_core_hours(fleet.bundles, cluster.config.cores_per_node)
+        used = _used_core_hours(fleet.bundles, cores)
         summary.update({
             "used_core_hours": round(used, 3),
             "efficiency": round(used / summary["avail_core_hours"], 5)

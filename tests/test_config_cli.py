@@ -162,15 +162,15 @@ def test_cli_sweep_rejects_a_key_path_through_a_scalar(tmp_path, capsys):
 # config_hash of each shipped config, as recorded in the tracked manifests;
 # a change here churns every manifest
 SHIPPED_HASHES = {
-    "base": "dbce412671e6bbe2e501976ae7f35c7b82b15bd7fc2b8979c926083a89927c1d",
-    "broker_count": "57cd19519b38c53774f14c08578f603d9d47d91ade33603b4d524b8fd8f69073",
-    "broker_vs_pilot": "f79d4ec6a2518a05d3c3897ba0daeb1b82bdb047b3f7a67f910cd2f05608c2ee",
-    "efficiency_month": "ff45de347ac9f2747e708a1c544450fb6f9b79326996ad83ca19e420ba8aca02",
-    "multi_generation": "c62ec233129c03ff206ca71f1f8f3ee213ebacc867f4d6ba4aa63cc80f6d52b2",
-    "replay_efficiency": "74159065279b0b389589ca0f7249f6321b8d2d9672c8dbb275f2b451aa7fe667",
-    "slot_calibration": "5752e6bffaa6d4b77fdbd09a64973a58ab4b8fe0d2ca2647d24b065d73f4a6c4",
-    "strong_scaling": "d1b4f72c04050735144a23785a84936c63e1735ebb0d35a832125bb10a021046",
-    "weak_scaling": "7950d0e8607b1417a3f17523957f3ad92bc4e5dee83fe174f886924f0ba323d9",
+    "base": "7d7edf390310a3dfcc336f0bb55d4ec8ae6b5fa4536d8de8c089d875dafcf164",
+    "broker_count": "edb6eb866fd7a48fdf52a38a92a4304d0b0e852fb73c492666a94b3ea2449dbd",
+    "broker_vs_pilot": "420af2675d4f13e2e57d1b52eec9f685d1d8d6aafaffeee04c6a07249abd86a7",
+    "efficiency_month": "eb4b0852faf41705afaf9077dd2610159ae715b22cc73353c7262f746c6b4a73",
+    "multi_generation": "6abab7ec23f6b21712338f2743a98f2250569e8a0b80f8b5ef835e88cda8f887",
+    "replay_efficiency": "95b56e40982c02869088988be02a84568401a7692dc8621c15b6615eff8aa7b2",
+    "slot_calibration": "43739fdeb9a195b6408bfc3228b2b13689e3bed7f53b57090e71f991c5e6cf1a",
+    "strong_scaling": "ca428bd1739c575c61a80eebf3c1c155055bcfe864558108113cfd66082c6af6",
+    "weak_scaling": "bb8ce4fa1a365dca509fa06926277c514d397d5657f7bf7679e73f52193e9b0a",
 }
 
 
@@ -184,12 +184,12 @@ def test_short_efficiency_golden_hash():
     cfg = load_scenario_file(CONFIGS / "efficiency_month.yaml")
     cfg.update(horizon_days=2, output_dir="out/eff2d")
     assert config_hash(resolve_config(cfg)) == \
-        "54b1b3f28a1b0f8a1c848b91bbe9d3a7116a5ab751ab4b646a6ccdf3cf486ea5"
+        "956f6f57d5a7a3152944ede9e43707b9d46c9b403172b2d21dfc669e12716cef"
 
 
 def test_print_defaults_is_unchanged():
     assert hashlib.sha256(dump_defaults().encode()).hexdigest() == \
-        "4956e9efafe022648ad7aca46190a55a3d2baab79f81f8d322063c54923b5adb"
+        "3610522b86c9b95b615be563cce216b6f7ad545bb651ab4cdc05b8588b4d6e39"
 
 
 def test_every_entry_point_resolves_the_same_config():

@@ -86,9 +86,8 @@ def test_slot_calibration_outputs(tmp_path):
                           "horizon_days": 1})
     manifest = run_scenario(cfg, base_dir=tmp_path)
     out = tmp_path / "cal"
-    for name in ("slots.csv", "monthly_report.csv", "ledger.csv", "summary.yaml",
-                 "manifest.json"):
-        assert (out / name).exists(), name
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "monthly_report.csv",
+                                                      "slots.csv", "summary.yaml"]
     data = json.loads((out / "manifest.json").read_text())
     assert data["outputs"].keys() == manifest.outputs.keys()
     assert data["engine_version"]
@@ -98,7 +97,7 @@ def test_efficiency_scenario_short_run(tmp_path):
     cfg = resolve_config({"scenario": "efficiency", "output_dir": "eff",
                           "horizon_days": 1})
     run_scenario(cfg, base_dir=tmp_path)
-    rows = read_csv(tmp_path / "eff" / "ledger.csv")
+    rows = read_csv(tmp_path / "eff" / "monthly_report.csv")
     assert len(rows) == 1
     assert float(rows[0]["used_core_hours"]) <= float(rows[0]["avail_core_hours"])
     assert (tmp_path / "eff" / "bundles.csv").exists()
@@ -162,7 +161,8 @@ def test_background_generator_hits_utilization_target(tmp_path):
         {"scenario": "slot_calibration", "seed": 5, "horizon_days": 30,
          "background": {"target_utilization": 0.90}}))
     cluster, ledger, poller, fleet, horizon = _run_cluster(cfg, with_brokers=False)
-    util = measured_utilization(ledger, cluster.config.total_nodes, horizon)
+    util = measured_utilization(ledger.node_seconds((0, horizon)),
+                                cluster.config.total_nodes, horizon)
     assert abs(util - 0.90) <= 0.03
 
 
@@ -205,7 +205,7 @@ def test_utilization_from_the_ledger_equals_the_busy_node_seconds():
     sim.run_until(horizon)
     assert tail.start_time == 0 and tail.end_time is None  # runs past the horizon
     assert len(busy) > 1 and len(backfill_starts) > 1 and cluster.backfill_nodes_held > 0
-    assert measured_utilization(ledger, total, horizon) == \
+    assert measured_utilization(ledger.node_seconds((0, horizon)), total, horizon) == \
         sum(busy.values()) / (total * horizon)
 
 
@@ -237,13 +237,12 @@ def test_efficiency_accepts_swf_background(tmp_path):
                           "background": {"target_utilization": None,
                                          "trace_path": str(swf)}})
     manifest = run_scenario(cfg, base_dir=tmp_path)
-    rows = read_csv(tmp_path / "swf_eff" / "ledger.csv")
+    rows = read_csv(tmp_path / "swf_eff" / "monthly_report.csv")
     assert float(rows[0]["avail_core_hours"]) > 0
     # recorded before availability and utilisation were read from the ledger
     # (the manifest itself hashes the tmp_path trace path, so compare outputs)
     assert manifest.outputs == {
         "bundles.csv": "b3e257373ce2bfa22c737bf4a8c21510891ecc91d7bdfd7320b7669f17fb1eec",
-        "ledger.csv": "a0c8283d417f8efc49d139199fed9c110c2d9b7439bef9098a995f1f53448620",
         "monthly_report.csv":
             "07eaa5977f0439938df4d41871de049cbe3fb70e30997d11d8faa3bfce4a8e3b",
         "slots.csv": "eedd172801f53fa2635799cbd567f6e737be61f28539546a1bfd1e1b96e37634",
