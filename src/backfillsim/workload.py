@@ -313,11 +313,17 @@ class BackgroundLoadProfile:
                                                    for w, lo, hi in self.size_mix))
 
     def mean_nodes(self) -> float:
-        total = 0.0
+        """Exact mean node count of `generate_background_jobs`: a band draws
+        round(exp(U(log lo, log(hi + 1)))) clamped to [lo, hi], so count n
+        takes the log-length of [n - 0.5, n + 0.5) within [lo, hi + 1], and
+        hi also takes the clamped top [hi + 0.5, hi + 1)."""
+        total = weight = 0.0
         for w, lo, hi in self.size_mix:
-            band_mean = (hi - lo) / math.log(hi / lo) if hi > lo else float(lo)
+            edges = np.log(np.concatenate(([lo], np.arange(lo, hi) + 0.5, [hi + 1])))
+            band_mean = float(np.arange(lo, hi + 1) @ np.diff(edges)) / math.log((hi + 1) / lo)
             total += w * band_mean
-        return total
+            weight += w
+        return total / weight
 
     def mean_runtime(self) -> float:
         # clipped log-normal mean, by the same closed form used for events

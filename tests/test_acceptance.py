@@ -4,20 +4,22 @@ them). Tolerances are fixed here, not tuned at runtime.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from backfillsim import (ScenarioConfig, SimJobSpec, WorkloadConfig,
-                         job_makespans_batch, resolve_config, stream_rng)
+from backfillsim import (ScenarioConfig, SimJobSpec, WorkloadConfig, job_makespans_batch,
+                         load_scenario_file, resolve_config, stream_rng)
 from backfillsim.metrics import month_windows, window_report
-from backfillsim.scenarios import (_run_cluster, _run_one_pilot, _used_core_hours,
-                                   consume_slot_broker, consume_slot_pilot, run_scenario,
-                                   synthetic_slots)
+from backfillsim.scenarios import (_efficiency_outputs, _finish_manifest, _run_cluster,
+                                   _run_one_pilot, _used_core_hours, consume_slot_broker,
+                                   consume_slot_pilot, run_scenario, synthetic_slots)
 from backfillsim.traces import trace_summary
 
 from test_scheduler import assert_matches_oracle, honesty_trial
 
+ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 FIG4_NODES = 691.0
 FIG4_WALLTIME_S = 126 * 60.0
@@ -36,11 +38,18 @@ def check(criterion, ok, detail):
 
 
 @pytest.fixture(scope="session")
-def efficiency_month():
-    cfg = resolved_tree({"scenario": "efficiency", "seed": SEED, "horizon_days": 30})
+def efficiency_month(tmp_path_factory):
+    # the shipped seed-1, 30-day config; its outputs are written and hashed
+    # too, so the same run pins the tracked golden manifest
+    raw = load_scenario_file(ROOT / "configs" / "efficiency_month.yaml")
+    cfg = ScenarioConfig.from_dict(raw)
+    assert (cfg.seed, cfg.horizon_days) == (SEED, 30)
     t0 = time.time()
     parts = _run_cluster(cfg, with_brokers=True)
-    return cfg, parts, time.time() - t0
+    wall = time.time() - t0
+    out_dir = tmp_path_factory.mktemp("efficiency_month")
+    _finish_manifest(raw, out_dir, _efficiency_outputs(cfg, out_dir, *parts))
+    return cfg, parts, wall, out_dir / "manifest.json"
 
 
 @pytest.fixture(scope="session")
@@ -115,8 +124,14 @@ def test_criterion_04_makespan():
           f"(band {6300*0.95:.0f}..{6300*1.05:.0f}s)")
 
 
+def test_efficiency_month_reproduces_its_golden(efficiency_month):
+    manifest = efficiency_month[3]
+    golden = ROOT / "out" / "efficiency_month" / "manifest.json"
+    assert manifest.read_bytes() == golden.read_bytes()
+
+
 def test_criterion_05_broker_floors(efficiency_month):
-    cfg, (cluster, ledger, poller, fleet, horizon), _ = efficiency_month
+    cfg, (cluster, ledger, poller, fleet, horizon), _, _ = efficiency_month
     bad = [b for b in fleet.bundles
            if b.walltime < 6300 or not 15 <= b.nodes <= 300]
     check("criterion 5 (bundle floors)", len(fleet.bundles) > 0 and not bad,
@@ -136,7 +151,7 @@ def test_criterion_06_efficiency_band(efficiency_month, calibration_month):
           f"{stats['mean_walltime_s']:.0f}s walltime "
           f"(band {0.7*FIG4_WALLTIME_S:.0f}..{1.3*FIG4_WALLTIME_S:.0f})")
 
-    cfg, (cluster, ledger, poller, fleet, horizon), wall = efficiency_month
+    cfg, (cluster, ledger, poller, fleet, horizon), wall, _ = efficiency_month
     cores = cluster.config.cores_per_node
     for label, w0, w1 in month_windows(cfg.start_date, horizon):
         avail = ledger.core_hours((w0, w1), cores)
@@ -157,7 +172,7 @@ def test_criterion_06_efficiency_band(efficiency_month, calibration_month):
 
 
 def test_criterion_07_broker_count_effect(efficiency_month, efficiency_month_4brokers):
-    cfg, (_, _, _, fleet20, _), wall20 = efficiency_month
+    cfg, (_, _, _, fleet20, _), wall20, _ = efficiency_month
     _, (_, _, _, fleet4, _), wall4 = efficiency_month_4brokers
     used20 = _used_core_hours(fleet20.bundles, cfg.cluster.cores_per_node)
     used4 = _used_core_hours(fleet4.bundles, cfg.cluster.cores_per_node)

@@ -239,12 +239,13 @@ def test_efficiency_accepts_swf_background(tmp_path):
     manifest = run_scenario(cfg, base_dir=tmp_path)
     rows = read_csv(tmp_path / "swf_eff" / "monthly_report.csv")
     assert float(rows[0]["avail_core_hours"]) > 0
-    # recorded before availability and utilisation were read from the ledger
+    # re-recorded when BackgroundLoadProfile.mean_nodes became the sampler's
+    # exact mean, which sets the arrival rate of the stream written to the SWF
     # (the manifest itself hashes the tmp_path trace path, so compare outputs)
     assert manifest.outputs == {
-        "bundles.csv": "b3e257373ce2bfa22c737bf4a8c21510891ecc91d7bdfd7320b7669f17fb1eec",
+        "bundles.csv": "5c3bba8c83b26dc756af05d5f52077b624105b072874da52d1ac331c398b7586",
         "monthly_report.csv":
-            "07eaa5977f0439938df4d41871de049cbe3fb70e30997d11d8faa3bfce4a8e3b",
-        "slots.csv": "eedd172801f53fa2635799cbd567f6e737be61f28539546a1bfd1e1b96e37634",
-        "summary.yaml": "9ba60b78affbc079a00b34001fbe257e420489d97eb671fc91dca22f2af04911",
+            "110662afde3700e0258fcccbc89212e65fd3117f6758600169ed3c6f3d7c5180",
+        "slots.csv": "59b5ba2d360d299c56e341e5efb35c7ffda558c2cb9a1478afadc592d43975de",
+        "summary.yaml": "3b56d32b6ace31464fc972c542bb3f153be5e9a31f77d98463950bbaae773e62",
     }

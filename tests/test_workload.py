@@ -178,6 +178,17 @@ def test_invalid_target_rejected():
         BackgroundLoadProfile(target_utilization=1.5)
 
 
+def test_mean_nodes_is_the_sampler_mean():
+    # one band 1..3: exp(U(0, log 4)) rounds to 1 on [1, 1.5), to 2 on
+    # [1.5, 2.5), and to 3 on [2.5, 3.5) plus the clamped [3.5, 4)
+    one_band = BackgroundLoadProfile(size_mix=((1.0, 1, 3),))
+    by_hand = (math.log(1.5) + 2 * math.log(2.5 / 1.5) + 3 * math.log(4 / 2.5)) / math.log(4)
+    assert one_band.mean_nodes() == pytest.approx(by_hand, rel=1e-12)
+    # 2M draws of the default mix give 68.943; the band-wise
+    # log-uniform mean on [lo, hi] was 68.764
+    assert BackgroundLoadProfile().mean_nodes() == pytest.approx(68.944, abs=0.001)
+
+
 def test_background_stream_deterministic():
     profile = BackgroundLoadProfile()
     a = list(generate_background_jobs(profile, 5 * 86400, stream_rng(1, "bg"), **MACHINE))
@@ -188,11 +199,13 @@ def test_background_stream_deterministic():
 
 
 def test_background_stream_is_pinned():
-    # SHA-256 of the 10-day stream for seeds 1-3, recorded while the size band
-    # was drawn with rng.choice: the bisect draw must reproduce it job for job.
-    pinned = {1: "042241c58cf6b582afdd92f7d94aeb61f8b985452452ea8d9a824b11457c4be1",
-              2: "a46dc38c6281fc01da1c1d6ff4055cd912aa83604ee8c47bda485c01fd1d1504",
-              3: "8521e02339434ed4bfbf6b073a651d65ccd5b6f27e6efdf28b5c9ffa6b9e7520"}
+    # SHA-256 of the 10-day stream for seeds 1-3. First recorded while the size
+    # band was drawn with rng.choice (the bisect draw reproduced it job for
+    # job); re-recorded when mean_nodes became the sampler's exact mean, which
+    # sets the arrival rate.
+    pinned = {1: "2fb54fa94c3637a5adabb74ec0aa8256abdcb6322d0254b27a496642e84afb18",
+              2: "50c40ec1885c0f19585f47adbc77707fe0de3c7f34f29a720b3ac4ee535df254",
+              3: "ff5906ef813a74c910e1fa7ffb83e588bb0976c4fd9c030ce65af160a435971d"}
     for seed, digest in pinned.items():
         jobs = list(generate_background_jobs(BackgroundLoadProfile(), 10 * 86400,
                                              stream_rng(seed, "bg"), **MACHINE))
