@@ -2,12 +2,12 @@
 
 Usage (from the root of a checkout):
 
-    PYTHONPATH=src python3 scripts/calibration_panel.py [--seeds 8] [--days 30]
+    PYTHONPATH=src python3 scripts/calibration_panel.py
 
 The tier-1 acceptance suite checks criteria 6 and 7 on seed 1 only. This
-script runs `configs/efficiency_month.yaml` at seeds 1..N (three runs per
-seed on one shared background stream: no brokers, 20 brokers, 4 brokers)
-and prints one row per seed plus mean +- SE of:
+script runs the 30-day `configs/efficiency_month.yaml` at seeds 1-8 (three
+runs per seed on one shared background stream: no brokers, 20 brokers, 4
+brokers) and prints one row per seed plus mean +- SE of:
 
 * 6a: mean slot nodes and walltime a poller sees on the broker-free cluster;
 * 6b: 20-broker efficiency, used over available core-hours (exact ledger);
@@ -20,7 +20,6 @@ so the panel takes a few minutes.
 
 from __future__ import annotations
 
-import argparse
 import math
 import statistics
 from pathlib import Path
@@ -29,17 +28,18 @@ from backfillsim import ScenarioConfig, load_scenario_file, resolve_config, trac
 from backfillsim.scenarios import _run_cluster, _used_core_hours, measured_utilization
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 9)
 COLUMNS = ("slot_nodes", "slot_walltime_s", "efficiency", "used20_core_hours",
            "used4_core_hours", "utilization")
 
 
-def panel_row(seed: int, days: float) -> dict:
+def panel_row(seed: int) -> dict:
     cfg = load_scenario_file(ROOT / "configs" / "efficiency_month.yaml")
-    cfg.update(seed=seed, horizon_days=days)
+    cfg["seed"] = seed
     tree = ScenarioConfig.from_dict(resolve_config(cfg))
     total, cores = tree.cluster.total_nodes, tree.cluster.cores_per_node
 
-    cluster, ledger, poller, _, horizon = _run_cluster(tree, with_brokers=False)
+    _, ledger, poller, _, horizon = _run_cluster(tree, with_brokers=False)
     stats = trace_summary(poller.polls)
     row = {"slot_nodes": stats["mean_nodes"], "slot_walltime_s": stats["mean_walltime_s"],
            "utilization": measured_utilization(ledger.node_seconds((0, horizon)),
@@ -55,21 +55,14 @@ def panel_row(seed: int, days: float) -> dict:
 
 
 def mean_se(values: list[float]) -> tuple[float, float]:
-    if len(values) < 2:
-        return values[0], float("nan")
     return statistics.fmean(values), statistics.stdev(values) / math.sqrt(len(values))
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=8, help="run seeds 1..N")
-    parser.add_argument("--days", type=float, default=30, help="horizon in days")
-    args = parser.parse_args()
-
     print("seed " + " ".join(f"{c:>17}" for c in COLUMNS), flush=True)
     rows = []
-    for seed in range(1, args.seeds + 1):
-        rows.append(panel_row(seed, args.days))
+    for seed in SEEDS:
+        rows.append(panel_row(seed))
         print(f"{seed:>4} " + " ".join(f"{rows[-1][c]:>17.4f}" for c in COLUMNS), flush=True)
     cells = [mean_se([r[c] for r in rows]) for c in COLUMNS]
     print("mean " + " ".join(f"{m:>17.4f}" for m, _ in cells))

@@ -184,8 +184,7 @@ def test_mean_nodes_is_the_sampler_mean():
     one_band = BackgroundLoadProfile(size_mix=((1.0, 1, 3),))
     by_hand = (math.log(1.5) + 2 * math.log(2.5 / 1.5) + 3 * math.log(4 / 2.5)) / math.log(4)
     assert one_band.mean_nodes() == pytest.approx(by_hand, rel=1e-12)
-    # 2M draws of the default mix give 68.943; the band-wise
-    # log-uniform mean on [lo, hi] was 68.764
+    # 2M Monte Carlo draws of the default mix give 68.943
     assert BackgroundLoadProfile().mean_nodes() == pytest.approx(68.944, abs=0.001)
 
 
@@ -199,10 +198,9 @@ def test_background_stream_deterministic():
 
 
 def test_background_stream_is_pinned():
-    # SHA-256 of the 10-day stream for seeds 1-3. First recorded while the size
-    # band was drawn with rng.choice (the bisect draw reproduced it job for
-    # job); re-recorded when mean_nodes became the sampler's exact mean, which
-    # sets the arrival rate.
+    # SHA-256 of the 10-day stream for seeds 1-3, re-recorded when mean_nodes
+    # became the sampler's exact mean (it sets the arrival rate): a change to
+    # the draws or to the rate shows here job for job.
     pinned = {1: "2fb54fa94c3637a5adabb74ec0aa8256abdcb6322d0254b27a496642e84afb18",
               2: "50c40ec1885c0f19585f47adbc77707fe0de3c7f34f29a720b3ac4ee535df254",
               3: "ff5906ef813a74c910e1fa7ffb83e588bb0976c4fd9c030ce65af160a435971d"}
