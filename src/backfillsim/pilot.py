@@ -98,23 +98,35 @@ class AgentTimeline:
         heapq.heapify(self._free)
         self.units: list[Unit] = []
 
+    def next_start(self) -> float:
+        """When the next unit handed to `add_units` would start, whatever
+        its duration: after its serial dispatch, on the first node to come
+        free, plus the launch latency. It never decreases, so once it
+        reaches the walltime no later unit can start."""
+        o = self.overheads
+        return (max(self._free[0][0], self._dispatch_cursor + o.dispatch_per_unit_s)
+                + o.launch_per_unit_s)
+
     def add_units(self, units: list[Unit]) -> None:
+        # the loop computes next_start() on locals, one unit at a time
+        free, walltime, append = self._free, self.walltime, self.units.append
+        dispatch = self.overheads.dispatch_per_unit_s
+        launch = self.overheads.launch_per_unit_s
+        cursor = self._dispatch_cursor
         for unit in units:
-            self._dispatch_cursor += self.overheads.dispatch_per_unit_s
-            arrive = self._dispatch_cursor
+            cursor += dispatch
+            start = max(free[0][0], cursor) + launch
             unit.state = DISPATCHED
-            free_at, node = self._free[0]
-            start = max(free_at, arrive) + self.overheads.launch_per_unit_s
-            if start >= self.walltime:
-                # queued behind the walltime horizon; stays dispatched
-                self.units.append(unit)
-                continue
-            heapq.heapreplace(self._free, (start + unit.duration_s, node))
+            append(unit)
+            if start >= walltime:
+                continue  # queued behind the walltime horizon; stays dispatched
+            node = free[0][1]
+            heapq.heapreplace(free, (start + unit.duration_s, node))
             unit.node = node
             unit.start = start
             unit.end = start + unit.duration_s
             unit.state = RUNNING
-            self.units.append(unit)
+        self._dispatch_cursor = cursor
 
     def finalize(self) -> float:
         """Close the timeline, cutting execution at the walltime. Returns

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import yaml
@@ -34,7 +36,7 @@ from .broker import BrokerFleet, MetricsPoller
 from .config import PILOT_SCALING, ScenarioConfig, config_hash
 from .metrics import (AvailabilityLedger, month_windows,
                       total_backfill_availability, window_report, write_window_reports)
-from .pilot import AgentTimeline, OverheadModel, PilotReport, Unit, run_pilot
+from .pilot import DONE, AgentTimeline, OverheadModel, PilotReport, Unit, run_pilot
 from .scheduler import BACKFILL, CAPABILITY, BatchJob, EasyBackfillScheduler, ReplayScheduler
 from .simcore import Simulation, stream_rng
 from .traces import emit_poll_trace, ingest_poll_trace, ingest_swf, trace_summary
@@ -280,22 +282,27 @@ def consume_slot_broker(nodes: int, walltime: int, makespans: np.ndarray,
     return nodes * cores * duration / 3600.0, done, duration
 
 
-def consume_slot_pilot(nodes: int, walltime: int, durations: np.ndarray,
+def consume_slot_pilot(nodes: int, walltime: int, generations: Iterable[np.ndarray],
                        overheads: OverheadModel, cores: int) -> tuple[float, int]:
     """(core-hours, units done) for a pilot holding the slot to its walltime
-    and running generations of units drawn from the same payload pool."""
+    and running generations of units drawn from the same payload pool.
+
+    `generations` yields one array of unit durations per generation; the
+    pilot pulls the next one only while it can still start a unit."""
     timeline = AgentTimeline(nodes, walltime, overheads)
-    units = [Unit(id=i, duration_s=float(d)) for i, d in enumerate(durations)]
-    timeline.add_units(units)
+    for durations in generations:
+        timeline.add_units([Unit(id=i, duration_s=float(d))
+                            for i, d in enumerate(durations, start=len(timeline.units))])
+        if timeline.next_start() >= walltime:
+            break
     timeline.finalize()
-    done = sum(1 for u in timeline.units if u.state == "done")
+    done = sum(1 for u in timeline.units if u.state == DONE)
     return nodes * cores * walltime / 3600.0, done
 
 
 def run_broker_vs_pilot(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     w, b = cfg.workload, cfg.broker
     cores = cfg.cluster.cores_per_node
-    mean_payload = w.setup_s + w.payload_model.mean() * b.events_per_job / b.slots_per_node
     rows = []
     for i, (at, slot_nodes, slot_walltime) in enumerate(synthetic_slots(cfg)):
         accepted = (slot_nodes >= b.min_nodes_per_bundle
@@ -306,14 +313,15 @@ def run_broker_vs_pilot(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
             continue
         nodes = min(slot_nodes, b.max_nodes_per_bundle)
         walltime = min(slot_walltime, cfg.cluster.cap_for(nodes, BACKFILL))
-        generations = int(walltime / mean_payload) + 2
         rng = stream_rng(cfg.seed, f"compare-payloads-{i}")
-        pool = job_makespans_batch(nodes * generations, b.job_spec, w.payload_model, rng,
-                                   contention=w.contention, setup_s=w.setup_s)
-        pool = pool.reshape(generations, nodes)
-        broker_ch, broker_done, held = consume_slot_broker(nodes, walltime,
-                                                           pool[0], cores)
-        pilot_ch, pilot_done = consume_slot_pilot(nodes, walltime, pool.ravel(),
+        # one generation of payloads per draw; the first is the broker's bundle
+        pool = (job_makespans_batch(nodes, b.job_spec, w.payload_model, rng,
+                                    contention=w.contention, setup_s=w.setup_s)
+                for _ in itertools.count())
+        bundle = next(pool)
+        broker_ch, broker_done, held = consume_slot_broker(nodes, walltime, bundle, cores)
+        pilot_ch, pilot_done = consume_slot_pilot(nodes, walltime,
+                                                  itertools.chain([bundle], pool),
                                                   cfg.pilot, cores)
         residual = walltime - held
         rows.append([i, at, slot_nodes, slot_walltime, 1, nodes, walltime,

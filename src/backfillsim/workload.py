@@ -235,6 +235,10 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
     """Setup time plus the payload makespan of `n_jobs` independent
     payloads, by greedy list scheduling (tasks in draw order to the
     earliest-free slot) evaluated for all jobs at once.
+
+    Jobs draw their events from `rng` in row order and each job is
+    scheduled on its own, so k calls of n jobs on one stream return the
+    same makespans as one call of k * n jobs.
     """
     durations = model.sample(n_jobs * spec.events, rng).reshape(n_jobs, spec.events)
     if contention is not None:
@@ -243,10 +247,13 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
     if spec.events <= slots:
         return setup_s + durations.max(axis=1)
     finish = durations[:, :slots].copy()  # first wave fills every slot
-    rows = np.arange(n_jobs)
-    for j in range(slots, spec.events):
-        idx = np.argmin(finish, axis=1)
-        finish[rows, idx] += durations[:, j]
+    flat = finish.ravel()  # a view: scattering into it updates finish
+    base = np.arange(0, n_jobs * slots, slots)  # flat index of each job's first slot
+    # one contiguous row per task: column j of the remaining tasks, all jobs
+    for task in durations[:, slots:].T.copy():
+        idx = finish.argmin(axis=1)
+        idx += base
+        flat[idx] += task
     return setup_s + finish.max(axis=1)
 
 

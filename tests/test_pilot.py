@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backfillsim import AgentTimeline, OverheadModel, Unit, UnitDurationModel, run_pilot
+from backfillsim.pilot import DISPATCHED
 
 ZERO = OverheadModel(bootstrap_s=0.0, dispatch_per_unit_s=0.0, launch_per_unit_s=0.0)
 
@@ -73,6 +78,40 @@ def test_serial_dispatch_ramp_delays_arrivals():
     timeline.add_units(units)
     assert [u.start for u in units] == [pytest.approx(11.0), pytest.approx(12.0),
                                         pytest.approx(13.0)]
+
+
+seconds = st.floats(0.0, 3000.0, allow_nan=False)
+
+
+@given(st.lists(seconds, min_size=1, max_size=40), st.integers(1, 4), seconds,
+       st.floats(0.0, 50.0), st.floats(0.0, 50.0), st.floats(1.0, 20_000.0))
+@settings(max_examples=100, deadline=None)
+def test_next_start_is_the_next_units_start(durations, nodes, bootstrap, dispatch,
+                                            launch, walltime):
+    timeline = AgentTimeline(nodes, walltime, OverheadModel(bootstrap, dispatch, launch))
+    # reference: serial dispatch, first node to come free, then launch
+    free, arrive = [bootstrap] * nodes, bootstrap
+    previous = -math.inf
+    for i, duration in enumerate(durations):
+        arrive += dispatch
+        predicted = timeline.next_start()
+        assert predicted == max(min(free), arrive) + launch
+        assert predicted >= previous
+        previous = predicted
+        unit = Unit(id=i, duration_s=duration)
+        timeline.add_units([unit])
+        if predicted < walltime:
+            assert unit.start == predicted
+            free[free.index(min(free))] = predicted + duration
+        else:
+            assert unit.start is None and unit.state == DISPATCHED
+    # one call with every unit places them as the one-unit calls did
+    whole = AgentTimeline(nodes, walltime, OverheadModel(bootstrap, dispatch, launch))
+    batch = [Unit(id=i, duration_s=d) for i, d in enumerate(durations)]
+    whole.add_units(batch)
+    assert ([(u.start, u.node) for u in batch]
+            == [(u.start, u.node) for u in timeline.units])
+    assert whole.next_start() == timeline.next_start()
 
 
 def test_walltime_expiry_cuts_running_units():

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from backfillsim import (EasyBackfillScheduler, ScenarioConfig, config, emit_poll_trace,
-                         load_scenario_file, resolve_config, run_scenario, scenarios,
-                         synthetic_slots)
+                         job_makespans_batch, load_scenario_file, resolve_config,
+                         run_scenario, scenarios, stream_rng, synthetic_slots)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,6 +79,24 @@ def test_broker_vs_pilot_never_loses_core_hours(tmp_path):
     assert accepted
     for r in accepted:
         assert float(r["pilot_core_hours"]) >= float(r["broker_core_hours"])
+
+
+def test_pilot_pulls_generations_only_while_it_can_start_a_unit():
+    cfg = ScenarioConfig.from_dict(resolve_config({"scenario": "broker_vs_pilot"}))
+    w, b = cfg.workload, cfg.broker
+    pool = job_makespans_batch(3 * 300, b.job_spec, w.payload_model, stream_rng(1, "lazy"),
+                               contention=w.contention, setup_s=w.setup_s).reshape(3, 300)
+    pulled = []
+
+    def generations():
+        for row in pool:
+            pulled.append(row)
+            yield row
+
+    lazy = scenarios.consume_slot_pilot(300, 7200, generations(), cfg.pilot, 16)
+    # a payload lasts about 6,565 s, so no node starts a third one in 7,200 s
+    assert len(pulled) == 2
+    assert lazy == scenarios.consume_slot_pilot(300, 7200, pool, cfg.pilot, 16)
 
 
 def test_slot_calibration_outputs(tmp_path):

@@ -117,13 +117,31 @@ def test_mean_makespan_within_five_percent_of_105_minutes():
 
 
 def test_batch_matches_scalar_list_scheduling():
-    spec = SimJobSpec(events=37, slots_per_node=16)
-    batch = job_makespans_batch(50, spec, MODEL, stream_rng(4, "b"),
-                                setup_s=100.0)
-    rng = stream_rng(4, "b")
-    for i in range(50):
-        scalar = job_makespan(spec, MODEL, rng, setup_s=100.0)
-        assert scalar == pytest.approx(batch[i], rel=1e-12)
+    # exact: which of two tied slots takes a task never changes the multiset
+    # of finish times, so the argmin and the heap add the same floats
+    cases = [(SimJobSpec(events=37, slots_per_node=16), MODEL, None),
+             (SimJobSpec(events=100, slots_per_node=8), MODEL, WORKLOAD.contention),
+             (SimJobSpec(events=12, slots_per_node=16), MODEL, WORKLOAD.contention),
+             (SimJobSpec(events=37, slots_per_node=16), ConstantDurationModel(840.0), None)]
+    for spec, model, contention in cases:
+        batch = job_makespans_batch(50, spec, model, stream_rng(4, "b"),
+                                    contention=contention, setup_s=100.0)
+        rng = stream_rng(4, "b")
+        scalar = [job_makespan(spec, model, rng, contention=contention, setup_s=100.0)
+                  for _ in range(50)]
+        assert scalar == batch.tolist(), (spec, contention)
+
+
+@pytest.mark.parametrize("first, second", [(300, 300), (15, 1)])
+def test_batch_splits_along_its_stream(first, second):
+    # the per-generation payload pool of broker_vs_pilot relies on this
+    spec = SimJobSpec(events=100, slots_per_node=16)
+    kwargs = dict(contention=WORKLOAD.contention, setup_s=WORKLOAD.setup_s)
+    whole = job_makespans_batch(first + second, spec, MODEL, stream_rng(8, "split"),
+                                **kwargs)
+    rng = stream_rng(8, "split")
+    parts = [job_makespans_batch(n, spec, MODEL, rng, **kwargs) for n in (first, second)]
+    assert np.array_equal(whole, np.concatenate(parts))
 
 
 @given(st.integers(0, 5000))
