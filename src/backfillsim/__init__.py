@@ -11,7 +11,7 @@ from .workload import (BackgroundLoadProfile, ContentionModel, EventDurationMode
                        IoProfile, SetupModel, SimJobSpec, UnitDurationModel, WorkloadConfig,
                        generate_background_jobs, job_makespans_batch)
 from .broker import (Broker, BrokerConfig, BrokerFleet, Bundle, FailureMix, FailureModel,
-                     JobSource, MetricsPoller, bundle_outcomes)
+                     MetricsPoller, bundle_outcomes)
 from .pilot import AgentTimeline, OverheadModel, PilotConfig, PilotReport, Unit, run_pilot
 from .metrics import (AvailabilityLedger, PollRecord, WindowReport, month_windows,
                       total_backfill_availability, window_report)

@@ -92,6 +92,8 @@ class BrokerConfig:
     def __post_init__(self):
         if self.n_brokers < 1:
             raise ValueError(f"n_brokers must be >= 1, got {self.n_brokers}")
+        if self.poll_interval_s < 1:
+            raise ValueError(f"poll_interval_s must be >= 1, got {self.poll_interval_s}")
         if self.min_nodes_per_bundle > self.max_nodes_per_bundle:
             raise ValueError("min_nodes_per_bundle must not exceed max_nodes_per_bundle")
         if self.sizing_policy not in ("fixed", "fit_walltime"):
@@ -104,18 +106,15 @@ class BrokerConfig:
             self.failure_prob, tuple(sorted(vars(self.failure_mix).items()))))
 
 
-@dataclass
-class Bundle:
-    id: str
-    nodes: int
-    walltime: int
-    events_per_payload: int
-    submit_time: int
-    start_time: Optional[int] = None
-    end_time: Optional[int] = None
-    killed: bool = False
-    makespans: Optional[np.ndarray] = field(default=None, repr=False)
-    outcomes: list = field(default_factory=list, repr=False)
+@dataclass(eq=False)
+class Bundle(BatchJob):
+    """The backfill `BatchJob` a broker submits: one full-node payload per
+    node. The scheduler sets its times and `killed`; `outcomes` holds one
+    entry per payload once it ends."""
+
+    events_per_payload: int = field(kw_only=True)
+    makespans: Optional[np.ndarray] = field(default=None, repr=False, kw_only=True)
+    outcomes: list = field(default_factory=list, repr=False, kw_only=True)
 
     @property
     def payloads_done(self) -> int:
@@ -136,47 +135,12 @@ def bundle_outcomes(makespans: np.ndarray, elapsed: float,
             for i, m in enumerate(makespans)]
 
 
-class JobSource:
-    """Queue of payload descriptions; infinite by default."""
-
-    def __init__(self, total: Optional[int] = None):
-        self.total = total
-        self.taken = 0
-
-    @property
-    def infinite(self) -> bool:
-        return self.total is None
-
-    def remaining(self) -> Optional[int]:
-        return None if self.infinite else max(0, self.total - self.taken)
-
-    def take(self, n: int) -> int:
-        if self.infinite:
-            self.taken += n
-            return n
-        grant = min(n, self.total - self.taken)
-        self.taken += grant
-        return grant
-
-    def put_back(self, n: int) -> None:
-        if not self.infinite:
-            self.taken -= n
-
-
 class Broker:
-    """One broker: single outstanding bundle, phase-driven."""
-
-    IDLE = "idle"
-    STAGING_IN = "staging_in"
-    POLLING = "slot_polling"
-    SUBMITTED = "submitted"
-    STAGING_OUT = "staging_out"
+    """One broker: at most one outstanding bundle."""
 
     def __init__(self, fleet: "BrokerFleet", index: int):
         self.fleet = fleet
         self.index = index
-        self.phase = self.IDLE
-        self.bundle: Optional[Bundle] = None
         self.rng = fleet.sim.rng(f"broker-{index}")
         self._counter = 0
 
@@ -190,11 +154,9 @@ class Broker:
     def _fetch(self) -> None:
         # Work descriptions are fetched ahead of staging; an empty finite
         # source leaves the broker idle for good.
-        if not self.fleet.source.infinite and self.fleet.source.remaining() < \
-                self.fleet.cfg.min_nodes_per_bundle:
-            self.phase = self.IDLE
+        jobs_left = self.fleet.jobs_left
+        if jobs_left is not None and jobs_left < self.fleet.cfg.min_nodes_per_bundle:
             return
-        self.phase = self.STAGING_IN
         # Inputs are staged before the slot is known, so the transfer covers
         # a full-size bundle's worth of payloads.
         per_node = float(self.fleet.io.read_gb_per_node.sample(1, self.rng)[0])
@@ -204,7 +166,6 @@ class Broker:
         self.fleet.sim.schedule_in(delay, "broker_staged_in", self._poll, target=self._name)
 
     def _poll(self) -> None:
-        self.phase = self.POLLING
         cfg = self.fleet.cfg
         slot = self.fleet.cluster.query_backfill()
         if slot.walltime >= cfg.min_slot_walltime_s and slot.nodes >= cfg.min_nodes_per_bundle:
@@ -216,18 +177,16 @@ class Broker:
     def _submit(self, slot) -> None:
         cfg = self.fleet.cfg
         nodes = min(slot.nodes, cfg.max_nodes_per_bundle)
-        granted = self.fleet.source.take(nodes)
-        if granted < cfg.min_nodes_per_bundle:
-            self.fleet.source.put_back(granted)
-            self.phase = self.IDLE
-            return
-        nodes = granted
+        jobs_left = self.fleet.jobs_left
+        if jobs_left is not None:
+            nodes = min(nodes, jobs_left)
+            if nodes < cfg.min_nodes_per_bundle:
+                return  # other brokers took the last jobs during stage-in
         cap = self.fleet.cluster.config.cap_for(nodes, BACKFILL)
         walltime = min(slot.walltime, cap)
         if walltime < cfg.min_slot_walltime_s:
             # the clamped bundle falls into a tighter walltime band; the
             # floor still binds, so decline and poll again
-            self.fleet.source.put_back(granted)
             self.fleet.sim.schedule_in(cfg.poll_interval_s, "broker_repoll",
                                        self._poll, target=self._name)
             return
@@ -242,41 +201,26 @@ class Broker:
                                         self.rng, contention=workload.contention,
                                         setup_s=workload.setup_s)
         runtime = max(1, int(math.ceil(float(makespans.max()))))
-        bundle = Bundle(id=f"bundle-{self.index}-{self._counter}", nodes=nodes,
-                        walltime=walltime, events_per_payload=spec.events,
-                        submit_time=self.fleet.sim.now, makespans=makespans)
+        bundle = Bundle(nodes=nodes, walltime=walltime, priority_class=BACKFILL,
+                        runtime=runtime, id=f"bundle-{self.index}-{self._counter}",
+                        on_end=self._on_end, events_per_payload=spec.events,
+                        makespans=makespans)
         self._counter += 1
-        self.bundle = bundle
-        self.phase = self.SUBMITTED
-        job = BatchJob(nodes=nodes, walltime=walltime, priority_class=BACKFILL,
-                       runtime=runtime, id=bundle.id,
-                       on_start=lambda j: self._on_start(j),
-                       on_end=lambda j: self._on_end(j))
-        self.fleet.cluster.submit(job)
+        self.fleet.cluster.submit(bundle)
+        if jobs_left is not None:
+            self.fleet.jobs_left = jobs_left - nodes
 
-    def _on_start(self, job: BatchJob) -> None:
-        self.bundle.start_time = job.start_time
-
-    def _on_end(self, job: BatchJob) -> None:
-        bundle = self.bundle
-        bundle.end_time = job.end_time
-        bundle.killed = job.killed
-        elapsed = job.end_time - job.start_time
+    def _on_end(self, bundle: Bundle) -> None:
+        elapsed = bundle.end_time - bundle.start_time
         bundle.outcomes = bundle_outcomes(bundle.makespans, elapsed,
                                           self.fleet.cfg.failure, self.rng)
         self.fleet.record_bundle(bundle)
-        self.phase = self.STAGING_OUT
         per_node = float(self.fleet.io.written_gb_per_node.sample(1, self.rng)[0])
         cfg = self.fleet.cfg
         gb = per_node * bundle.nodes
         delay = transfer_seconds(cfg.stage_out_base_s, cfg.stage_out_per_gb_s, gb)
-        self.fleet.sim.schedule_in(delay, "broker_staged_out", self._cycle,
+        self.fleet.sim.schedule_in(delay, "broker_staged_out", self._fetch,
                                    target=self._name)
-
-    def _cycle(self) -> None:
-        self.bundle = None
-        self.phase = self.IDLE
-        self._fetch()
 
 
 class BrokerFleet:
@@ -289,7 +233,7 @@ class BrokerFleet:
         self.cfg = cfg
         self.workload = workload
         self.io = IoProfile.default()
-        self.source = JobSource(cfg.job_limit)
+        self.jobs_left: Optional[int] = cfg.job_limit  # None: no limit
         self.brokers = [Broker(self, i) for i in range(cfg.n_brokers)]
         self.bundles: list[Bundle] = []
 

@@ -61,6 +61,14 @@ class CompareConfig:
     slot_walltime_sigma: float = 0.7
     slot_interval_s: int = 600
 
+    def __post_init__(self):
+        for name in ("slot_nodes_mean", "slot_walltime_mean_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("slot_nodes_sigma", "slot_walltime_sigma", "slot_interval_s", "slots"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class ReplayConfig:
@@ -73,6 +81,8 @@ class MetricsConfig:
     availability_credit: str = "rate"  # or "walltime"
 
     def __post_init__(self):
+        if self.poll_interval_s < 1:
+            raise ValueError(f"poll_interval_s must be >= 1, got {self.poll_interval_s}")
         if self.availability_credit not in ("rate", "walltime"):
             raise ValueError("availability_credit must be 'rate' or 'walltime', "
                              f"got {self.availability_credit!r}")

@@ -84,8 +84,7 @@ class BatchJob:
     `runtime` is the actual duration when known up front (trace/background
     jobs). Leave it None for jobs whose duration is decided by their owner
     (bundles, pilots): the owner must call `terminate()` before the
-    walltime limit or the job is killed at `start + walltime`. `on_start`
-    runs inside a scheduling pass: schedule an event to terminate jobs.
+    walltime limit or the job is killed at `start + walltime`.
     """
 
     nodes: int
@@ -97,7 +96,6 @@ class BatchJob:
     start_time: Optional[SimTime] = None
     end_time: Optional[SimTime] = None
     killed: bool = False
-    on_start: Optional[Callable[["BatchJob"], None]] = field(default=None, repr=False)
     on_end: Optional[Callable[["BatchJob"], None]] = field(default=None, repr=False)
     _seq: int = field(default=-1, repr=False)
     _end_event: Optional[SimEvent] = field(default=None, repr=False)
@@ -124,8 +122,8 @@ class Reservation:
 class _JobLifecycle:
     """The job lifecycle both slot sources share: submission checks, id and
     sequence assignment, start, the end event, finish and `terminate`.
-    Subclasses decide when an admitted job starts; their `_started` and
-    `_ended` hooks run just before the owner's `on_start`/`on_end`."""
+    Subclasses decide when an admitted job starts; their `_started` hook
+    runs as it starts and `_ended` just before the owner's `on_end`."""
 
     def __init__(self, sim: Simulation, config: ClusterConfig):
         self.sim = sim
@@ -186,8 +184,6 @@ class _JobLifecycle:
         job._end_event = self.sim.schedule(self.sim.now + effective, kind,
                                            lambda j=job: self._finish(j), target=job.id)
         self._started(job)
-        if job.on_start is not None:
-            job.on_start(job)
 
     def _finish(self, job: BatchJob) -> None:
         if job._end_event is not None:

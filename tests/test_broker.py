@@ -96,10 +96,23 @@ def test_finite_source_runs_one_bundle_then_leaves_the_broker_idle():
     sim, cluster, fleet = replay_fleet(records, cfg=cfg)
     sim.run_until(60_000)
     assert [b.nodes for b in fleet.bundles] == [20]
-    assert fleet.brokers[0].phase == "idle"
-    assert fleet.source.remaining() == 0
+    assert fleet.jobs_left == 0
     sim.run_until(sim.now + 60_000)  # slots keep coming, work does not
     assert len(fleet.bundles) == 1
+
+
+def test_band_cap_decline_keeps_the_finite_source_whole():
+    # the first slot clamps to 240 nodes, whose 3600 s band cap is below the
+    # walltime floor: declining it must not spend any of the 280 jobs
+    caps = ClusterConfig(total_nodes=18688, cores_per_node=16,
+                         backfill_caps=((250, 3600), (1 << 31, 86400)),
+                         capability_caps=((1 << 31, 86400),))
+    cfg = BrokerConfig(n_brokers=1, job_limit=280)
+    sim, cluster, fleet = replay_fleet([(0, 240, 86400), (0, 5000, 86400)], cfg=cfg,
+                                       cluster_cfg=caps)
+    sim.run_until(200_000)
+    assert [b.nodes for b in fleet.bundles] == [280]
+    assert fleet.jobs_left == 0
 
 
 # -- outcomes -------------------------------------------------------------------
@@ -171,7 +184,7 @@ def test_fleet_efficiency_nothing_consumed_is_zero():
 
 def test_fleet_efficiency_equal_ledgers_is_one():
     polls = [PollRecord(0, 100, 60)]
-    used = [Bundle("b", nodes=100, walltime=60, events_per_payload=100, submit_time=0,
+    used = [Bundle(id="b", nodes=100, walltime=60, events_per_payload=100, submit_time=0,
                    start_time=0, end_time=60)]
     assert fleet_efficiency(polls, used, (0, 60)) == pytest.approx(1.0)
 
@@ -187,7 +200,7 @@ def test_bundle_start_triggers_on_live_cluster():
     fleet = BrokerFleet(sim, cluster, BrokerConfig(n_brokers=2), WORKLOAD)
     fleet.start(0)
     sim.run_until(30_000)
-    assert fleet.bundles or any(b.bundle for b in fleet.brokers)
+    assert fleet.bundles or cluster.running
     for b in fleet.bundles:
         assert b.start_time == b.submit_time
         assert 15 <= b.nodes <= 300

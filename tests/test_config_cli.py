@@ -212,6 +212,10 @@ BAD_INPUTS = [
     ({"scenario": "weak_scaling", "pilot": {"queue": "capabilty"}}, "pilot: queue"),
     ({"pilot": {"nodes_list": [0]}}, "pilot: nodes_list"),
     ({"horizon_days": 1e-6}, "horizon_days"),
+    ({"metrics": {"poll_interval_s": 0}}, "metrics: poll_interval_s"),
+    ({"broker": {"poll_interval_s": 0}}, "broker: poll_interval_s"),
+    ({"scenario": "broker_vs_pilot", "compare": {"slot_nodes_mean": 0}},
+     "compare: slot_nodes_mean"),
 ]
 
 

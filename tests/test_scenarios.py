@@ -196,32 +196,24 @@ def test_utilization_from_the_ledger_equals_the_busy_node_seconds():
         total_nodes=total, cores_per_node=16, backfill_caps=((1 << 31, 1 << 20),),
         capability_caps=((1 << 31, 1 << 20),)))
     ledger = AvailabilityLedger(sim, cluster)
-    busy = {}  # capability job id -> node-seconds held before the horizon
-    backfill_starts = []
-
-    def on_start(job):
-        if job.priority_class == CAPABILITY:
-            busy[job.id] = job.nodes * (horizon - job.start_time)
-        else:
-            backfill_starts.append(job.start_time)
-
-    def on_end(job):
-        if job.priority_class == CAPABILITY:
-            busy[job.id] = job.nodes * (job.end_time - job.start_time)
-
-    tail = BatchJob(nodes=3, walltime=10_000, runtime=10_000, priority_class=CAPABILITY,
-                    on_start=on_start, on_end=on_end)
+    tail = BatchJob(nodes=3, walltime=10_000, runtime=10_000, priority_class=CAPABILITY)
     cluster.submit(tail)
+    jobs = [tail]
     rng = sim.rng("mix")
     for _ in range(30):
         klass = BACKFILL if rng.random() < 0.4 else CAPABILITY
         runtime = int(rng.integers(1, 40))
         job = BatchJob(nodes=int(rng.integers(1, total - 2)), walltime=runtime,
-                       runtime=runtime, priority_class=klass,
-                       on_start=on_start, on_end=on_end)
+                       runtime=runtime, priority_class=klass)
+        jobs.append(job)
         sim.schedule(int(rng.integers(0, 350)), "arrive", lambda j=job: cluster.submit(j))
     sim.run_until(horizon)
     assert tail.start_time == 0 and tail.end_time is None  # runs past the horizon
+    # capability job id -> node-seconds held before the horizon
+    busy = {j.id: j.nodes * ((horizon if j.end_time is None else j.end_time) - j.start_time)
+            for j in jobs if j.priority_class == CAPABILITY and j.start_time is not None}
+    backfill_starts = [j.start_time for j in jobs
+                       if j.priority_class == BACKFILL and j.start_time is not None]
     assert len(busy) > 1 and len(backfill_starts) > 1 and cluster.backfill_nodes_held > 0
     assert measured_utilization(ledger.node_seconds((0, horizon)), total, horizon) == \
         sum(busy.values()) / (total * horizon)

@@ -1,7 +1,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "backfillsim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "backfillsim"
 
 
 def test_library_has_no_bare_assert():
@@ -11,3 +12,13 @@ def test_library_has_no_bare_assert():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_perfbench_tracer_finds_every_name_it_patches(monkeypatch):
+    # the benchmark's traced passes wrap library names from outside; `install`
+    # looks each one up in its owner's `__dict__`, so a rename fails here
+    # instead of in every traced benchmark pass
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+    with spans.Tracer().install():
+        pass
