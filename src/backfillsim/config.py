@@ -172,7 +172,7 @@ def _build(cls, data, path: str, problems: list[str]):
         return None
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         problems.append(f"{path.rstrip('.')}: {exc}" if path else str(exc))
         return None
 

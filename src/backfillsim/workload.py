@@ -15,18 +15,78 @@ Per-node I/O volumes follow the measured per-job statistics (clipped
 normals, mean-corrected so the clipped mean matches the measured mean);
 they size the brokers' stage-in and stage-out transfers only, never event
 timing.
+
+Both fits solve for a location with `_brentq`, a port of scipy's
+`scipy/optimize/Zeros/brentq.c` that returns the same bits, so importing
+the library loads no `scipy.optimize`.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
+
+
+# ---------------------------------------------------------------------------
+# root finding
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of `f` in [xa, xb] by Brent's method (Brent 1973, ch. 4): the
+    steps of scipy's `brentq.c` in its order, with its default relative
+    tolerance and 100 iterations, so the result is scipy's
+    `brentq(f, xa, xb, xtol=xtol)` to the bit."""
+    rtol = 4 * sys.float_info.epsilon
+
+    def fx(x):
+        y = f(x)
+        if math.isnan(y):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return y
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return float(xcur)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise ValueError(f"no root found to xtol {xtol} in 100 iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +124,7 @@ class EventDurationModel:
             raise ValueError(f"event_mean_s must lie strictly between event_min_s and "
                              f"event_max_s ({lo}, {hi}), got {event_mean_s}")
         f = lambda mu: _truncated_lognormal_mean(mu, sigma, lo, hi) - event_mean_s
-        mu = brentq(f, math.log(lo), math.log(hi), xtol=1e-10)
+        mu = _brentq(f, math.log(lo), math.log(hi), xtol=1e-10)
         return cls(mu=mu, sigma=sigma, lo=lo, hi=hi, calibrated_at=calibrated_at)
 
     def mean(self) -> float:
@@ -151,6 +211,9 @@ class WorkloadConfig:
     setup_s: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("event_sigma", "contention_mean_8way_s", "contention_mean_16way_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         object.__setattr__(self, "payload_model", EventDurationModel.fit(
             self.event_mean_s, self.event_sigma, self.event_min_s, self.event_max_s,
             self.calibrated_at))
@@ -187,7 +250,7 @@ class IoChannel:
     @classmethod
     def fit(cls, lo: float, hi: float, mean: float, sd: float) -> "IoChannel":
         f = lambda mu: _clipped_normal_mean(mu, sd, lo, hi) - mean
-        mu = brentq(f, lo - 12 * sd, hi + 12 * sd, xtol=1e-9)
+        mu = _brentq(f, lo - 12 * sd, hi + 12 * sd, xtol=1e-9)
         return cls(lo=lo, hi=hi, mean=mean, sd=sd, mu=mu)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -216,6 +216,10 @@ BAD_INPUTS = [
     ({"broker": {"poll_interval_s": 0}}, "broker: poll_interval_s"),
     ({"scenario": "broker_vs_pilot", "compare": {"slot_nodes_mean": 0}},
      "compare: slot_nodes_mean"),
+    ({"workload": {"event_sigma": 0}}, "workload: event_sigma must be > 0, got 0"),
+    ({"workload": {"event_sigma": -0.5}}, "workload: event_sigma must be > 0, got -0.5"),
+    ({"workload": {"event_sigma": 40}}, "workload: math range error"),
+    ({"workload": {"contention_mean_8way_s": 0}}, "workload: contention_mean_8way_s"),
 ]
 
 

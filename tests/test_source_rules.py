@@ -14,6 +14,26 @@ def test_library_has_no_bare_assert():
     assert found == []
 
 
+def test_library_imports_no_scipy_but_special():
+    # scipy.optimize alone cost a third of a fresh process's setup; this also
+    # finds imports inside functions
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                names = [f"scipy.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"
+                      and name.split(".")[:2] != ["scipy", "special"]]
+    assert found == []
+
+
 def test_perfbench_tracer_finds_every_name_it_patches(monkeypatch):
     # the benchmark's traced passes wrap library names from outside; `install`
     # looks each one up in its owner's `__dict__`, so a rename fails here

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.stats import lognorm
 
 import backfillsim
 from backfillsim import (BackgroundLoadProfile, IoProfile, SetupModel, SimJobSpec,
                          WorkloadConfig, generate_background_jobs, job_makespans_batch,
                          stream_rng)
+from backfillsim.workload import _brentq, _clipped_normal_mean, _truncated_lognormal_mean
 
 from makespan_oracle import ConstantDurationModel, job_makespan, list_schedule_makespan
 
@@ -57,12 +58,42 @@ def test_no_sample_ever_escapes_truncation(seed, n):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # the clipped-normal fit writes the normal pdf out instead
+    # the clipped-normal fit writes the normal pdf out instead, and both fits
+    # solve with the library's own Brent port; resolving runs both fits
     src = Path(backfillsim.__file__).resolve().parent.parent
-    code = "import sys, backfillsim; print('scipy.stats' in sys.modules)"
+    code = ("import sys, backfillsim; backfillsim.resolve_config({}); "
+            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
+
+
+def _root_or_error(solver, f, a, b, xtol):
+    try:
+        return solver(f, a, b, xtol=xtol)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.floats(1.0, 1000.0), st.floats(1.5, 100.0), st.floats(0.01, 0.99),
+       st.floats(0.05, 3.0), st.floats(0.0, 1.0), st.floats(0.001, 10.0),
+       st.floats(0.01, 0.99), st.floats(0.005, 5.0))
+@settings(max_examples=150, deadline=None)
+def test_brentq_port_returns_scipys_bits(lo, ratio, position, sigma,
+                                         io_lo, io_width, io_position, sd):
+    # same root bits (or the same refusal) as scipy on both fits' brackets
+    hi = lo * ratio
+    for mean in (lo + (hi - lo) * position, hi * (1.0 + position)):  # the second: no sign change
+        f = lambda mu: _truncated_lognormal_mean(mu, sigma, lo, hi) - mean
+        ours = _root_or_error(_brentq, f, math.log(lo), math.log(hi), 1e-10)
+        assert ours == _root_or_error(optimize.brentq, f, math.log(lo), math.log(hi), 1e-10)
+    assert ours == "f(a) and f(b) must have different signs"
+    io_hi = io_lo + io_width
+    io_mean = io_lo + io_width * io_position
+    f = lambda mu: _clipped_normal_mean(mu, sd, io_lo, io_hi) - io_mean
+    a, b = io_lo - 12 * sd, io_hi + 12 * sd
+    ours = _brentq(f, a, b, xtol=1e-9)
+    assert type(ours) is float and ours == optimize.brentq(f, a, b, xtol=1e-9)
 
 
 # -- contention ---------------------------------------------------------------
