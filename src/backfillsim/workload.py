@@ -15,10 +15,6 @@ Per-node I/O volumes follow the measured per-job statistics (clipped
 normals, mean-corrected so the clipped mean matches the measured mean);
 they size the brokers' stage-in and stage-out transfers only, never event
 timing.
-
-Both fits solve for a location with `_brentq`, a port of scipy's
-`scipy/optimize/Zeros/brentq.c` that returns the same bits, so importing
-the library loads no `scipy.optimize`.
 """
 
 from __future__ import annotations
@@ -38,10 +34,13 @@ from scipy.special import ndtr, ndtri
 
 
 def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """A root of `f` in [xa, xb] by Brent's method (Brent 1973, ch. 4): the
-    steps of scipy's `brentq.c` in its order, with its default relative
-    tolerance and 100 iterations, so the result is scipy's
-    `brentq(f, xa, xb, xtol=xtol)` to the bit."""
+    """A root of `f` in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A port of scipy's `scipy/optimize/Zeros/brentq.c`: its steps in its
+    order, its default relative tolerance and 100 iterations, so the result
+    is `scipy.optimize.brentq(f, xa, xb, xtol=xtol)` to the bit without
+    importing `scipy.optimize` (about a third of a fresh process's setup).
+    """
     rtol = 4 * sys.float_info.epsilon
 
     def fx(x):

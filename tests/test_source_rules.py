@@ -22,10 +22,8 @@ def test_library_imports_no_scipy_but_special():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
-                names = [f"scipy.{alias.name}" for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names
