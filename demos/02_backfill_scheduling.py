@@ -26,8 +26,8 @@ head = BatchJob(nodes=7, walltime=900, runtime=900, id="blocked-head")
 sched.submit(head)
 sim.run_until(0)
 
-res = sched.head_reservation()
-print(f"head reservation: {res.nodes} nodes at t={res.start}")
+reserved_at = sched.head_reservation()
+print(f"head reservation: {head.nodes} nodes at t={reserved_at}")
 
 slot = sched.query_backfill()
 print(f"backfill slot: {slot.nodes} nodes for {slot.walltime}s")
@@ -41,7 +41,7 @@ sim.run_until(0)
 print(f"slot-shaped job started at t={probe.start_time}")
 
 sim.run()
-print(f"head started at t={head.start_time} (reservation was t={res.start})")
+print(f"head started at t={head.start_time} (reservation was t={reserved_at})")
 
 # A job one second longer than the slot would have delayed the head, so the
 # scheduler holds it instead.

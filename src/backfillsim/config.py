@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass, field, fields, is_dataclass
+from datetime import datetime
 from pathlib import Path
 from typing import Optional
 
@@ -116,6 +117,12 @@ class ScenarioConfig:
                 and int(self.horizon_days * 86400) >= 1):
             raise ValueError(f"horizon_days must cover at least one second, "
                              f"got {self.horizon_days!r}")
+        # parsed as the report windows parse it; an unquoted YAML date is no string
+        try:
+            datetime.fromisoformat(self.start_date)
+        except (TypeError, ValueError):
+            raise ValueError("start_date must be an ISO date string such as '2016-01-01', "
+                             f"got {self.start_date!r}") from None
         bg = self.background
         if self.scenario in CLUSTER_RUNS and \
                 bool(bg.target_utilization) == (bg.trace_path is not None):

@@ -19,9 +19,6 @@ import numpy as np
 
 from .scheduler import BACKFILL, CAPABILITY
 
-PENDING = "pending"
-DISPATCHED = "dispatched"
-RUNNING = "running"
 DONE = "done"
 INCOMPLETE = "incomplete"
 
@@ -72,12 +69,13 @@ class PilotConfig(OverheadModel):
 
 @dataclass
 class Unit:
-    id: int
-    duration_s: float
-    state: str = PENDING
-    node: Optional[int] = None
-    start: Optional[float] = None
-    end: Optional[float] = None
+    """A unit that started: its node, its start and end, and its outcome,
+    DONE or INCOMPLETE (cut off at the walltime, so `end` is the walltime)."""
+
+    node: int
+    start: float
+    end: float
+    state: str
 
 
 class AgentTimeline:
@@ -107,41 +105,34 @@ class AgentTimeline:
         return (max(self._free[0][0], self._dispatch_cursor + o.dispatch_per_unit_s)
                 + o.launch_per_unit_s)
 
-    def add_units(self, units: list[Unit]) -> None:
+    def add_units(self, durations: list[float]) -> None:
+        """Hand units of these durations to the agent, in order. Each unit
+        that starts is recorded in `units` with its outcome, settled as it
+        starts. A unit that cannot start before the walltime leaves no
+        record, but still takes its turn on the dispatch channel."""
         # the loop computes next_start() on locals, one unit at a time
         free, walltime, append = self._free, self.walltime, self.units.append
         dispatch = self.overheads.dispatch_per_unit_s
         launch = self.overheads.launch_per_unit_s
         cursor = self._dispatch_cursor
-        for unit in units:
+        for duration in durations:
             cursor += dispatch
             start = max(free[0][0], cursor) + launch
-            unit.state = DISPATCHED
-            append(unit)
             if start >= walltime:
-                continue  # queued behind the walltime horizon; stays dispatched
+                continue  # queued behind the walltime horizon
             node = free[0][1]
-            heapq.heapreplace(free, (start + unit.duration_s, node))
-            unit.node = node
-            unit.start = start
-            unit.end = start + unit.duration_s
-            unit.state = RUNNING
+            end = start + duration
+            heapq.heapreplace(free, (end, node))
+            if end <= walltime:
+                append(Unit(node, start, end, DONE))
+            else:
+                append(Unit(node, start, walltime, INCOMPLETE))
         self._dispatch_cursor = cursor
 
     def finalize(self) -> float:
-        """Close the timeline, cutting execution at the walltime. Returns
-        the pilot's effective duration."""
-        # add_units starts no unit at or past the walltime
-        for unit in self.units:
-            if unit.state != RUNNING:
-                continue
-            if unit.end <= self.walltime:
-                unit.state = DONE
-            else:
-                unit.end = self.walltime
-                unit.state = INCOMPLETE
-        ends = [u.end for u in self.units if u.state in (DONE, INCOMPLETE)]
-        return min(max(ends) if ends else self.ready_at, self.walltime)
+        """The pilot's effective duration: until its last unit ends, or the
+        walltime if a unit was cut; the bootstrap if no unit started."""
+        return min(max((u.end for u in self.units), default=self.ready_at), self.walltime)
 
 
 @dataclass
@@ -158,25 +149,25 @@ class PilotReport:
         return max(self.generations_per_node.values(), default=0)
 
 
-def run_pilot(nodes: int, walltime: int, units: list[Unit],
+def run_pilot(nodes: int, walltime: int, durations: list[float],
               overheads: OverheadModel) -> PilotReport:
-    """Run `units` on a pilot of `nodes` nodes that starts at once and
-    holds them for at most `walltime` seconds."""
+    """Run units of these durations on a pilot of `nodes` nodes that starts
+    at once and holds them for at most `walltime` seconds."""
     timeline = AgentTimeline(nodes, walltime, overheads)
-    timeline.add_units(units)
+    timeline.add_units(durations)
     duration = timeline.finalize()
-    done = [u for u in timeline.units if u.state == DONE]
-    incomplete = [u for u in timeline.units if u.state == INCOMPLETE]
     busy = np.zeros(nodes)
     generations = dict.fromkeys(range(nodes), 0)
-    for u in done:
+    task_durations = []
+    # no unit starts on a node after its cut unit, so each node adds its cut unit last
+    for u in timeline.units:
         busy[u.node] += u.end - u.start
-        generations[u.node] += 1
-    for u in incomplete:
-        busy[u.node] += u.end - u.start
-    task_durations = [u.end - u.start for u in done]
+        if u.state == DONE:
+            generations[u.node] += 1
+            task_durations.append(u.end - u.start)
     mean_task = float(np.mean(task_durations)) if task_durations else 0.0
     return PilotReport(duration_s=float(duration), mean_task_s=mean_task,
                        overhead_s=float(duration) - float(busy.mean()),
-                       units_done=len(done), units_incomplete=len(incomplete),
+                       units_done=len(task_durations),
+                       units_incomplete=len(timeline.units) - len(task_durations),
                        generations_per_node=generations)

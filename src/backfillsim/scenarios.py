@@ -36,7 +36,7 @@ from .broker import BrokerFleet, MetricsPoller
 from .config import PILOT_SCALING, ScenarioConfig, config_hash
 from .metrics import (AvailabilityLedger, month_windows,
                       total_backfill_availability, window_report, write_window_reports)
-from .pilot import DONE, AgentTimeline, OverheadModel, PilotReport, Unit, run_pilot
+from .pilot import DONE, AgentTimeline, OverheadModel, PilotReport, run_pilot
 from .scheduler import BACKFILL, CAPABILITY, BatchJob, EasyBackfillScheduler, ReplayScheduler
 from .simcore import Simulation, stream_rng
 from .traces import emit_poll_trace, ingest_poll_trace, ingest_swf, trace_summary
@@ -233,8 +233,7 @@ def _run_one_pilot(cfg: ScenarioConfig, nodes: int, n_units: int) -> PilotReport
     p = cfg.pilot
     durations = UnitDurationModel(p.unit_mean_s, p.unit_sd_s).sample(
         n_units, stream_rng(cfg.seed, f"pilot-{nodes}-units"))
-    units = [Unit(id=i, duration_s=float(d)) for i, d in enumerate(durations)]
-    return run_pilot(nodes, p.walltime_s, units, p)
+    return run_pilot(nodes, p.walltime_s, durations.tolist(), p)
 
 
 def run_pilot_scaling(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
@@ -291,8 +290,7 @@ def consume_slot_pilot(nodes: int, walltime: int, generations: Iterable[np.ndarr
     pilot pulls the next one only while it can still start a unit."""
     timeline = AgentTimeline(nodes, walltime, overheads)
     for durations in generations:
-        timeline.add_units([Unit(id=i, duration_s=float(d))
-                            for i, d in enumerate(durations, start=len(timeline.units))])
+        timeline.add_units(durations.tolist())
         if timeline.next_start() >= walltime:
             break
     timeline.finalize()

@@ -65,6 +65,8 @@ class ClusterConfig:
             raise ValueError(f"cores_per_node must be positive, got {self.cores_per_node}")
         for name in ("backfill_caps", "capability_caps"):
             bands = getattr(self, name)
+            if not bands:
+                raise ValueError(f"{name} must list at least one [max_nodes, cap_s] band")
             if any(len(band) != 2 or band[1] <= 0 for band in bands):
                 raise ValueError(f"{name} entries must be [max_nodes, cap_s] with cap_s > 0")
             object.__setattr__(self, name, tuple((int(n), int(cap)) for n, cap in bands))
@@ -106,17 +108,6 @@ class BackfillSlot:
     nodes: int
     walltime: int
     observed_at: SimTime
-
-
-@dataclass(frozen=True)
-class Reservation:
-    """Forward reservation held by the queue head: `nodes` nodes from
-    `start` to `end` (projected)."""
-
-    job_id: str
-    nodes: int
-    start: SimTime
-    end: SimTime
 
 
 class _JobLifecycle:
@@ -224,7 +215,6 @@ class EasyBackfillScheduler(_JobLifecycle):
         self._admit(job)
         bisect.insort(self.queue, job, key=_queue_key)
         self._queued_ids.add(job.id)
-        self._touch()
         self._request_pass()
         return job.id
 
@@ -242,10 +232,10 @@ class EasyBackfillScheduler(_JobLifecycle):
         if idle == 0:
             return BackfillSlot(0, 0, now)
         cap = self.config.cap_for(idle, BACKFILL)
-        res, extra = self._reservation()
-        if res is None or extra >= idle:
+        start, extra = self._reservation()
+        if start is None or extra >= idle:
             return BackfillSlot(idle, cap, now)
-        return BackfillSlot(idle, min(res.start - now, cap), now)
+        return BackfillSlot(idle, min(start - now, cap), now)
 
     def schedule_pass(self) -> list[BatchJob]:
         """Run one EASY pass immediately; returns jobs dispatched by it."""
@@ -254,7 +244,8 @@ class EasyBackfillScheduler(_JobLifecycle):
             self._pass_event = None
         return self._run_pass()
 
-    def head_reservation(self) -> Optional[Reservation]:
+    def head_reservation(self) -> Optional[SimTime]:
+        """When the queue head is guaranteed to start; None if none queued."""
         self._settle()
         return self._reservation()[0]
 
@@ -290,8 +281,8 @@ class EasyBackfillScheduler(_JobLifecycle):
         # The head is blocked. A backfill dispatch never moves its start,
         # and free nodes and `extra` only shrink, so a job skipped here
         # stays skipped: one scan over the rest of the queue suffices.
-        res, extra = self._reservation()
-        now, shadow, free = self.sim.now, res.start, self.free_nodes
+        shadow, extra = self._reservation()
+        now, free = self.sim.now, self.free_nodes
         for job in self.queue[1:]:
             if job.nodes > free:
                 continue
@@ -305,11 +296,11 @@ class EasyBackfillScheduler(_JobLifecycle):
                 extra -= job.nodes
             if self.strict_checks:
                 after, after_extra = self._reservation()
-                if (after.start, after_extra) != (res.start, extra):
+                if (after, after_extra) != (shadow, extra):
                     raise AssertionError(
                         f"backfill dispatch of {job.id} moved the reservation of "
-                        f"{res.job_id} from t={res.start} with {extra} spare nodes "
-                        f"to t={after.start} with {after_extra}")
+                        f"{self.queue[0].id} from t={shadow} with {extra} spare nodes "
+                        f"to t={after} with {after_extra}")
         return dispatched
 
     def _dispatch(self, job: BatchJob) -> None:
@@ -335,11 +326,11 @@ class EasyBackfillScheduler(_JobLifecycle):
         self._touch()
         self._request_pass()
 
-    def _reservation(self) -> tuple[Optional[Reservation], int]:
-        """The queue head's reservation and `extra`, the nodes still free at its
-        start once it begins (a job no wider may run past it), from one walk
-        over the projected releases that `_started`/`_ended` keep sorted, so
-        no call sorts; `(None, 0)` if none queued."""
+    def _reservation(self) -> tuple[Optional[SimTime], int]:
+        """When the queue head's reservation starts, and `extra`, the nodes
+        still free then once it begins (a job no wider may run past it), from
+        one walk over the projected releases that `_started`/`_ended` keep
+        sorted, so no call sorts; `(None, 0)` if none queued."""
         if not self.queue:
             return None, 0
         head = self.queue[0]
@@ -356,7 +347,7 @@ class EasyBackfillScheduler(_JobLifecycle):
             start, free = end, free + nodes
         if free < head.nodes:
             raise AssertionError("job can never start; capacity invariant broken")
-        return Reservation(head.id, head.nodes, start, start + head.walltime), free - head.nodes
+        return start, free - head.nodes
 
 
 class ReplayScheduler(_JobLifecycle):

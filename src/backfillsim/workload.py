@@ -123,7 +123,11 @@ class EventDurationModel:
             raise ValueError(f"event_mean_s must lie strictly between event_min_s and "
                              f"event_max_s ({lo}, {hi}), got {event_mean_s}")
         f = lambda mu: _truncated_lognormal_mean(mu, sigma, lo, hi) - event_mean_s
-        mu = _brentq(f, math.log(lo), math.log(hi), xtol=1e-10)
+        try:
+            mu = _brentq(f, math.log(lo), math.log(hi), xtol=1e-10)
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"event_sigma {sigma}: no location fits event_mean_s "
+                             f"{event_mean_s} on [{lo}, {hi}] ({exc})") from None
         return cls(mu=mu, sigma=sigma, lo=lo, hi=hi, calibrated_at=calibrated_at)
 
     def mean(self) -> float:
@@ -210,7 +214,8 @@ class WorkloadConfig:
     setup_s: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("event_sigma", "contention_mean_8way_s", "contention_mean_16way_s"):
+        for name in ("event_sigma", "event_min_s", "contention_mean_8way_s",
+                     "contention_mean_16way_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         object.__setattr__(self, "payload_model", EventDurationModel.fit(

@@ -1,4 +1,6 @@
+import datetime
 import hashlib
+import math
 from pathlib import Path
 
 import pytest
@@ -218,8 +220,19 @@ BAD_INPUTS = [
      "compare: slot_nodes_mean"),
     ({"workload": {"event_sigma": 0}}, "workload: event_sigma must be > 0, got 0"),
     ({"workload": {"event_sigma": -0.5}}, "workload: event_sigma must be > 0, got -0.5"),
-    ({"workload": {"event_sigma": 40}}, "workload: math range error"),
+    ({"workload": {"event_sigma": 40}},
+     "workload: event_sigma 40: no location fits event_mean_s 840.0"),
+    ({"workload": {"event_sigma": 20}}, "workload: event_sigma 20: no location fits"),
+    ({"workload": {"event_sigma": math.inf}}, "workload: event_sigma inf: no location fits"),
+    ({"workload": {"event_min_s": 0}}, "workload: event_min_s must be > 0"),
     ({"workload": {"contention_mean_8way_s": 0}}, "workload: contention_mean_8way_s"),
+    ({"start_date": "2016-13-40"},
+     "start_date must be an ISO date string such as '2016-01-01', got '2016-13-40'"),
+    # unquoted in YAML, a date loads as a datetime.date
+    ({"start_date": datetime.date(2016, 1, 1)},
+     "start_date must be an ISO date string such as '2016-01-01', got datetime.date"),
+    ({"cluster": {"backfill_caps": []}}, "cluster: backfill_caps must list at least one"),
+    ({"cluster": {"capability_caps": []}}, "cluster: capability_caps must list at least one"),
 ]
 
 

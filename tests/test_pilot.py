@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backfillsim import AgentTimeline, OverheadModel, Unit, UnitDurationModel, run_pilot
-from backfillsim.pilot import DISPATCHED
+from backfillsim.pilot import DONE, INCOMPLETE
 
 ZERO = OverheadModel(bootstrap_s=0.0, dispatch_per_unit_s=0.0, launch_per_unit_s=0.0)
 
 
 def constant_units(n, value):
-    return [Unit(id=i, duration_s=float(value)) for i in range(n)]
+    return [float(value)] * n
 
 
 def test_large_pilot_accepted():
@@ -64,8 +64,8 @@ def test_next_unit_launches_after_launch_latency():
     overheads = OverheadModel(bootstrap_s=0.0, dispatch_per_unit_s=0.0,
                               launch_per_unit_s=2.5)
     timeline = AgentTimeline(1, 100_000.0, overheads)
-    units = constant_units(2, 1000.0)
-    timeline.add_units(units)
+    timeline.add_units(constant_units(2, 1000.0))
+    units = timeline.units
     assert units[0].start == pytest.approx(2.5)
     assert units[1].start == pytest.approx(units[0].end + 2.5)
 
@@ -74,9 +74,8 @@ def test_serial_dispatch_ramp_delays_arrivals():
     overheads = OverheadModel(bootstrap_s=10.0, dispatch_per_unit_s=1.0,
                               launch_per_unit_s=0.0)
     timeline = AgentTimeline(3, 100_000.0, overheads)
-    units = constant_units(3, 50.0)
-    timeline.add_units(units)
-    assert [u.start for u in units] == [pytest.approx(11.0), pytest.approx(12.0),
+    timeline.add_units(constant_units(3, 50.0))
+    assert [u.start for u in timeline.units] == [pytest.approx(11.0), pytest.approx(12.0),
                                         pytest.approx(13.0)]
 
 
@@ -92,47 +91,53 @@ def test_next_start_is_the_next_units_start(durations, nodes, bootstrap, dispatc
     # reference: serial dispatch, first node to come free, then launch
     free, arrive = [bootstrap] * nodes, bootstrap
     previous = -math.inf
-    for i, duration in enumerate(durations):
+    for duration in durations:
         arrive += dispatch
         predicted = timeline.next_start()
         assert predicted == max(min(free), arrive) + launch
         assert predicted >= previous
         previous = predicted
-        unit = Unit(id=i, duration_s=duration)
-        timeline.add_units([unit])
+        recorded = len(timeline.units)
+        timeline.add_units([duration])
         if predicted < walltime:
+            (unit,) = timeline.units[recorded:]
             assert unit.start == predicted
             free[free.index(min(free))] = predicted + duration
         else:
-            assert unit.start is None and unit.state == DISPATCHED
+            assert len(timeline.units) == recorded  # a unit that never starts leaves no record
     # one call with every unit places them as the one-unit calls did
     whole = AgentTimeline(nodes, walltime, OverheadModel(bootstrap, dispatch, launch))
-    batch = [Unit(id=i, duration_s=d) for i, d in enumerate(durations)]
-    whole.add_units(batch)
-    assert ([(u.start, u.node) for u in batch]
-            == [(u.start, u.node) for u in timeline.units])
+    whole.add_units(durations)
+    assert whole.units == timeline.units
     assert whole.next_start() == timeline.next_start()
 
 
 def test_walltime_expiry_cuts_running_units():
-    units = constant_units(4, 600.0)
-    rep = run_pilot(2, 1000, units, ZERO)
+    rep = run_pilot(2, 1000, constant_units(4, 600.0), ZERO)
     assert rep.units_done == 2
     assert rep.units_incomplete == 2
     assert rep.duration_s == pytest.approx(1000.0)
     assert rep.overhead_s == pytest.approx(0.0)  # cut units count as busy
-    assert [u.end for u in units] == [600.0, 600.0, 1000.0, 1000.0]
+    timeline = AgentTimeline(2, 1000, ZERO)
+    timeline.add_units(constant_units(4, 600.0))
+    assert [u.end for u in timeline.units] == [600.0, 600.0, 1000.0, 1000.0]
+
+
+def test_only_started_units_are_recorded_with_their_outcome():
+    timeline = AgentTimeline(1, 1000, ZERO)
+    timeline.add_units(constant_units(3, 600.0))
+    assert timeline.units == [Unit(0, 0.0, 600.0, DONE), Unit(0, 600.0, 1000.0, INCOMPLETE)]
+    assert timeline.finalize() == 1000.0
 
 
 def test_per_node_units_never_overlap():
     durations = UnitDurationModel(mean_s=300.0, sd_s=40.0).sample(
         60, np.random.default_rng(7))
-    units = [Unit(id=i, duration_s=float(d)) for i, d in enumerate(durations)]
-    run_pilot(5, 10_000, units, OverheadModel())
+    timeline = AgentTimeline(5, 10_000, OverheadModel())
+    timeline.add_units(durations.tolist())
     per_node = {}
-    for u in units:
-        if u.node is not None:
-            per_node.setdefault(u.node, []).append((u.start, u.end))
+    for u in timeline.units:
+        per_node.setdefault(u.node, []).append((u.start, u.end))
     assert sorted(per_node) == list(range(5))
     for spans in per_node.values():
         spans.sort()

@@ -1,5 +1,6 @@
 import csv
 import functools
+import importlib.util
 import json
 from pathlib import Path
 
@@ -79,6 +80,23 @@ def test_broker_vs_pilot_never_loses_core_hours(tmp_path):
     assert accepted
     for r in accepted:
         assert float(r["pilot_core_hours"]) >= float(r["broker_core_hours"])
+
+
+def test_benchmark_tracer_counts_the_pilot_units_done(tmp_path):
+    # perfbench's tracer counts the DONE units of each timeline it sees
+    # finalized; a dropped finalize() or a renamed state would zero it
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    cfg = resolve_config({"scenario": "broker_vs_pilot", "output_dir": "t",
+                          "compare": {"slots": 6}})
+    tracer = spans.Tracer()
+    with tracer.install():
+        run_scenario(cfg, base_dir=tmp_path)
+    rows = read_csv(tmp_path / "t" / "broker_vs_pilot.csv")
+    assert tracer.counts["units_done"] == sum(int(r["pilot_units_done"]) for r in rows)
+    assert 0 < tracer.layer_metrics()["pilot.units_done_ratio"] < 1
 
 
 def test_pilot_pulls_generations_only_while_it_can_start_a_unit():
