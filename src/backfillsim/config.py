@@ -117,7 +117,7 @@ class ScenarioConfig:
                 and int(self.horizon_days * 86400) >= 1):
             raise ValueError(f"horizon_days must cover at least one second, "
                              f"got {self.horizon_days!r}")
-        # parsed as the report windows parse it; an unquoted YAML date is no string
+        # parsed as month_windows parses it; an unquoted YAML date loads as a date
         try:
             datetime.fromisoformat(self.start_date)
         except (TypeError, ValueError):

@@ -327,10 +327,10 @@ class EasyBackfillScheduler(_JobLifecycle):
         self._request_pass()
 
     def _reservation(self) -> tuple[Optional[SimTime], int]:
-        """When the queue head's reservation starts, and `extra`, the nodes
-        still free then once it begins (a job no wider may run past it), from
-        one walk over the projected releases that `_started`/`_ended` keep
-        sorted, so no call sorts; `(None, 0)` if none queued."""
+        """The queue head's reservation start and `extra`, the nodes still free
+        then once the head begins (a job no wider may run past it), from one
+        walk over the projected releases that `_started`/`_ended` keep sorted,
+        so no call sorts; `(None, 0)` if none queued."""
         if not self.queue:
             return None, 0
         head = self.queue[0]

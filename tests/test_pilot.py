@@ -76,7 +76,7 @@ def test_serial_dispatch_ramp_delays_arrivals():
     timeline = AgentTimeline(3, 100_000.0, overheads)
     timeline.add_units(constant_units(3, 50.0))
     assert [u.start for u in timeline.units] == [pytest.approx(11.0), pytest.approx(12.0),
-                                        pytest.approx(13.0)]
+                                                 pytest.approx(13.0)]
 
 
 seconds = st.floats(0.0, 3000.0, allow_nan=False)
@@ -104,7 +104,7 @@ def test_next_start_is_the_next_units_start(durations, nodes, bootstrap, dispatc
             assert unit.start == predicted
             free[free.index(min(free))] = predicted + duration
         else:
-            assert len(timeline.units) == recorded  # a unit that never starts leaves no record
+            assert len(timeline.units) == recorded  # a unit that never starts: no record
     # one call with every unit places them as the one-unit calls did
     whole = AgentTimeline(nodes, walltime, OverheadModel(bootstrap, dispatch, launch))
     whole.add_units(durations)
