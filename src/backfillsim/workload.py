@@ -93,10 +93,12 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
 
 
 def _truncated_lognormal_mean(mu: float, sigma: float, lo: float, hi: float) -> float:
+    # in Python floats, so a degenerate sigma (inf) raises ZeroDivisionError,
+    # which `fit` reports, instead of numpy warning about inf * 0 first
     a = (math.log(lo) - mu) / sigma
     b = (math.log(hi) - mu) / sigma
-    z = ndtr(b) - ndtr(a)
-    return math.exp(mu + 0.5 * sigma * sigma) * (ndtr(b - sigma) - ndtr(a - sigma)) / z
+    z = float(ndtr(b) - ndtr(a))
+    return math.exp(mu + 0.5 * sigma * sigma) * float(ndtr(b - sigma) - ndtr(a - sigma)) / z
 
 
 @dataclass(frozen=True)
@@ -306,6 +308,19 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
     Jobs draw their events from `rng` in row order and each job is
     scheduled on its own, so k calls of n jobs on one stream return the
     same makespans as one call of k * n jobs.
+
+    Each job's slot end times are kept sorted, slot-major: row k of
+    `finish` holds every job's k-th earliest slot end, and a last row of
+    +inf sits below them. A task goes to the earliest slot, row 0, and
+    ends at `end = finish[0] + task`; removing row 0 and inserting `end`
+    keeps the rows sorted when row k becomes
+    `max(finish[k], min(finish[k + 1], end))` (rows k + 1 and below move up
+    while they end before `end`, `end` lands in the first row that ends
+    after it, and the rest stay). This is exact to the bit against
+    per-task argmin scheduling: `finish[0]` is the float the argmin picks,
+    so the one addition is the same; min and max round nothing; and which
+    of two tied slots takes a task never changes the multiset of slot
+    ends, which is all the makespan, `finish[slots - 1]`, reads.
     """
     durations = model.sample(n_jobs * spec.events, rng).reshape(n_jobs, spec.events)
     if contention is not None:
@@ -313,15 +328,18 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
     slots = spec.slots_per_node
     if spec.events <= slots:
         return setup_s + durations.max(axis=1)
-    finish = durations[:, :slots].copy()  # first wave fills every slot
-    flat = finish.ravel()  # a view: scattering into it updates finish
-    base = np.arange(0, n_jobs * slots, slots)  # flat index of each job's first slot
+    finish = np.empty((slots + 1, n_jobs))
+    finish[:slots] = np.sort(durations[:, :slots], axis=1).T  # first wave fills every slot
+    finish[slots] = np.inf
+    head = finish[:-1]
+    end = np.empty(n_jobs)
+    moved = np.empty((slots, n_jobs))
     # one contiguous row per task: column j of the remaining tasks, all jobs
     for task in durations[:, slots:].T.copy():
-        idx = finish.argmin(axis=1)
-        idx += base
-        flat[idx] += task
-    return setup_s + finish.max(axis=1)
+        np.add(finish[0], task, out=end)
+        np.minimum(finish[1:], end, out=moved)
+        np.maximum(head, moved, out=head)
+    return setup_s + finish[slots - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +403,22 @@ class BackgroundLoadProfile:
             raise ValueError(f"target_utilization must be in (0, 1), got {u}")
         object.__setattr__(self, "size_mix", tuple((float(w), int(lo), int(hi))
                                                    for w, lo, hi in self.size_mix))
+        for w, lo, hi in self.size_mix:
+            if not w >= 0:
+                raise ValueError(f"size_mix weights must be >= 0, got {w}")
+            if not 1 <= lo <= hi:
+                raise ValueError(f"size_mix bands need 1 <= lo <= hi, got lo {lo}, hi {hi}")
+        if not sum(w for w, _, _ in self.size_mix) > 0:
+            raise ValueError("size_mix weights must sum to > 0")
+        for name in ("runtime_mean_s", "runtime_sigma", "runtime_min_s", "walltime_factor_lo"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.runtime_min_s > self.runtime_max_s:
+            raise ValueError(f"runtime_min_s {self.runtime_min_s} must be <= "
+                             f"runtime_max_s {self.runtime_max_s}")
+        if self.walltime_factor_lo > self.walltime_factor_hi:
+            raise ValueError(f"walltime_factor_lo {self.walltime_factor_lo} must be <= "
+                             f"walltime_factor_hi {self.walltime_factor_hi}")
 
     def mean_nodes(self) -> float:
         """Exact mean node count of `generate_background_jobs`: a band draws

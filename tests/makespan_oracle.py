@@ -30,6 +30,16 @@ class ConstantDurationModel:
         return np.full(n, self.value_s)
 
 
+@dataclass(frozen=True)
+class SmallIntegerDurationModel:
+    """Event durations drawn from {1, 2, 3} seconds, so slot ends tie often."""
+
+    calibrated_at: int = 16
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.integers(1, 4, size=n).astype(float)
+
+
 def list_schedule_makespan(durations: np.ndarray, slots: int) -> float:
     """Greedy list scheduling: each task goes to the earliest-free slot."""
     if len(durations) <= slots:

@@ -18,7 +18,8 @@ from backfillsim import (BackgroundLoadProfile, IoProfile, SetupModel, SimJobSpe
                          stream_rng)
 from backfillsim.workload import _brentq, _clipped_normal_mean, _truncated_lognormal_mean
 
-from makespan_oracle import ConstantDurationModel, job_makespan, list_schedule_makespan
+from makespan_oracle import (ConstantDurationModel, SmallIntegerDurationModel, job_makespan,
+                             list_schedule_makespan)
 
 WORKLOAD = WorkloadConfig()
 MODEL = WORKLOAD.payload_model
@@ -148,8 +149,9 @@ def test_mean_makespan_within_five_percent_of_105_minutes():
 
 
 def test_batch_matches_scalar_list_scheduling():
-    # exact: which of two tied slots takes a task never changes the multiset
-    # of finish times, so the argmin and the heap add the same floats
+    # exact: the batch's earliest slot end is the heap's top, and which of two
+    # tied slots takes a task never changes the multiset of slot ends, so the
+    # sorted merge and the heap add the same floats
     cases = [(SimJobSpec(events=37, slots_per_node=16), MODEL, None),
              (SimJobSpec(events=100, slots_per_node=8), MODEL, WORKLOAD.contention),
              (SimJobSpec(events=12, slots_per_node=16), MODEL, WORKLOAD.contention),
@@ -161,6 +163,20 @@ def test_batch_matches_scalar_list_scheduling():
         scalar = [job_makespan(spec, model, rng, contention=contention, setup_s=100.0)
                   for _ in range(50)]
         assert scalar == batch.tolist(), (spec, contention)
+
+
+@given(n_jobs=st.integers(0, 6), slots=st.sampled_from([8, 16]),
+       waves=st.sampled_from([(0, 1), (1, 0), (1, 1), (3, 5)]), seed=st.integers(0, 1000))
+@settings(max_examples=200)
+def test_batch_matches_scalar_when_slot_ends_tie(n_jobs, slots, waves, seed):
+    # durations in {1, 2, 3}: most tasks meet several slots ending together
+    full, extra = waves
+    spec = SimJobSpec(events=full * slots + extra, slots_per_node=slots)
+    model = SmallIntegerDurationModel()
+    batch = job_makespans_batch(n_jobs, spec, model, stream_rng(seed, "ties"), setup_s=0.5)
+    rng = stream_rng(seed, "ties")
+    scalar = [job_makespan(spec, model, rng, setup_s=0.5) for _ in range(n_jobs)]
+    assert batch.tolist() == scalar
 
 
 @pytest.mark.parametrize("first, second", [(300, 300), (15, 1)])
