@@ -404,15 +404,16 @@ class BackgroundLoadProfile:
         object.__setattr__(self, "size_mix", tuple((float(w), int(lo), int(hi))
                                                    for w, lo, hi in self.size_mix))
         for w, lo, hi in self.size_mix:
-            if not w >= 0:
-                raise ValueError(f"size_mix weights must be >= 0, got {w}")
+            if not 0 <= w < math.inf:
+                raise ValueError(f"size_mix weights must be finite and >= 0, got {w}")
             if not 1 <= lo <= hi:
                 raise ValueError(f"size_mix bands need 1 <= lo <= hi, got lo {lo}, hi {hi}")
         if not sum(w for w, _, _ in self.size_mix) > 0:
             raise ValueError("size_mix weights must sum to > 0")
-        for name in ("runtime_mean_s", "runtime_sigma", "runtime_min_s", "walltime_factor_lo"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("runtime_mean_s", "runtime_sigma", "runtime_min_s", "runtime_max_s",
+                     "walltime_factor_lo", "walltime_factor_hi"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.runtime_min_s > self.runtime_max_s:
             raise ValueError(f"runtime_min_s {self.runtime_min_s} must be <= "
                              f"runtime_max_s {self.runtime_max_s}")

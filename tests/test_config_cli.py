@@ -235,15 +235,22 @@ BAD_INPUTS = [
     ({"cluster": {"capability_caps": []}}, "cluster: capability_caps must list at least one"),
     ({"background": {"walltime_factor_lo": 2.5}},
      "background: walltime_factor_lo 2.5 must be <= walltime_factor_hi 2.0"),
-    ({"background": {"walltime_factor_lo": 0}}, "background: walltime_factor_lo must be > 0"),
-    ({"background": {"runtime_min_s": 0}}, "background: runtime_min_s must be > 0, got 0"),
+    ({"background": {"walltime_factor_lo": 0}},
+     "background: walltime_factor_lo must be finite and > 0"),
+    ({"background": {"runtime_min_s": 0}},
+     "background: runtime_min_s must be finite and > 0, got 0"),
     ({"background": {"runtime_min_s": 90000}},
      "background: runtime_min_s 90000 must be <= runtime_max_s 85000"),
-    ({"background": {"runtime_sigma": 0}}, "background: runtime_sigma must be > 0, got 0"),
-    ({"background": {"runtime_mean_s": 0}}, "background: runtime_mean_s must be > 0"),
+    ({"background": {"runtime_sigma": 0}},
+     "background: runtime_sigma must be finite and > 0, got 0"),
+    ({"background": {"runtime_sigma": math.inf}},
+     "background: runtime_sigma must be finite and > 0, got inf"),
+    ({"background": {"runtime_mean_s": 0}}, "background: runtime_mean_s must be finite and > 0"),
+    ({"background": {"walltime_factor_hi": math.inf}},
+     "background: walltime_factor_hi must be finite and > 0, got inf"),
     ({"background": {"size_mix": [[0, 1, 125]]}}, "background: size_mix weights must sum to > 0"),
     ({"background": {"size_mix": [[1, 1, 125], [-0.5, 126, 312]]}},
-     "background: size_mix weights must be >= 0, got -0.5"),
+     "background: size_mix weights must be finite and >= 0, got -0.5"),
     ({"background": {"size_mix": [[1, 0, 125]]}},
      "background: size_mix bands need 1 <= lo <= hi, got lo 0, hi 125"),
     ({"background": {"size_mix": [[1, 200, 125]]}},
