@@ -94,8 +94,17 @@ class BrokerConfig:
             raise ValueError(f"n_brokers must be >= 1, got {self.n_brokers}")
         if self.poll_interval_s < 1:
             raise ValueError(f"poll_interval_s must be >= 1, got {self.poll_interval_s}")
+        if self.min_nodes_per_bundle < 1:
+            raise ValueError(f"min_nodes_per_bundle must be >= 1, "
+                             f"got {self.min_nodes_per_bundle}")
         if self.min_nodes_per_bundle > self.max_nodes_per_bundle:
             raise ValueError("min_nodes_per_bundle must not exceed max_nodes_per_bundle")
+        if self.job_limit is not None and self.job_limit < 0:
+            raise ValueError(f"job_limit must be >= 0, got {self.job_limit}")
+        for name in ("stage_in_base_s", "stage_in_per_gb_s", "stage_out_base_s",
+                     "stage_out_per_gb_s"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.sizing_policy not in ("fixed", "fit_walltime"):
             raise ValueError("sizing_policy must be 'fixed' or 'fit_walltime', "
                              f"got {self.sizing_policy!r}")

@@ -56,6 +56,12 @@ class PilotConfig(OverheadModel):
         super().__post_init__()
         if self.walltime_s <= 0:
             raise ValueError(f"walltime_s must be positive, got {self.walltime_s}")
+        if not self.unit_mean_s > 0:
+            raise ValueError(f"unit_mean_s must be > 0, got {self.unit_mean_s}")
+        if not self.unit_sd_s >= 0:
+            raise ValueError(f"unit_sd_s must be >= 0, got {self.unit_sd_s}")
+        if not self.nodes_list:
+            raise ValueError("nodes_list must list at least one pilot size")
         if any(n < 1 for n in self.nodes_list):
             raise ValueError("nodes_list entries must be >= 1")
         object.__setattr__(self, "nodes_list", tuple(self.nodes_list))

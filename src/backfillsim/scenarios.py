@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -281,18 +280,28 @@ def consume_slot_broker(nodes: int, walltime: int, makespans: np.ndarray,
     return nodes * cores * duration / 3600.0, done, duration
 
 
-def consume_slot_pilot(nodes: int, walltime: int, generations: Iterable[np.ndarray],
-                       overheads: OverheadModel, cores: int) -> tuple[float, int]:
+def consume_slot_pilot(nodes: int, walltime: int, first: np.ndarray,
+                       draw: Callable[[float], np.ndarray], overheads: OverheadModel,
+                       cores: int) -> tuple[float, int]:
     """(core-hours, units done) for a pilot holding the slot to its walltime
     and running generations of units drawn from the same payload pool.
 
-    `generations` yields one array of unit durations per generation; the
-    pilot pulls the next one only while it can still start a unit."""
+    `first` holds the unit durations of the first generation. While the
+    pilot can still start a unit, it pulls the next generation with
+    `draw(walltime - next_start)`, the time left to the first unit that
+    generation can start, and `draw` may return +inf for a unit that cannot
+    end within it (`job_makespans_batch`'s `deadline`). Such a unit is
+    recorded as incomplete with end `walltime`, as its exact duration would
+    be: it starts no earlier than `next_start` and ends past the walltime.
+    No later unit starts on its node, and no other record changes."""
     timeline = AgentTimeline(nodes, walltime, overheads)
-    for durations in generations:
+    durations = first
+    while True:
         timeline.add_units(durations.tolist())
-        if timeline.next_start() >= walltime:
+        start = timeline.next_start()
+        if start >= walltime:
             break
+        durations = draw(walltime - start)
     timeline.finalize()
     done = sum(1 for u in timeline.units if u.state == DONE)
     return nodes * cores * walltime / 3600.0, done
@@ -312,14 +321,16 @@ def run_broker_vs_pilot(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
         nodes = min(slot_nodes, b.max_nodes_per_bundle)
         walltime = min(slot_walltime, cfg.cluster.cap_for(nodes, BACKFILL))
         rng = stream_rng(cfg.seed, f"compare-payloads-{i}")
+
         # one generation of payloads per draw; the first is the broker's bundle
-        pool = (job_makespans_batch(nodes, b.job_spec, w.payload_model, rng,
-                                    contention=w.contention, setup_s=w.setup_s)
-                for _ in itertools.count())
-        bundle = next(pool)
+        def draw(deadline=math.inf):
+            return job_makespans_batch(nodes, b.job_spec, w.payload_model, rng,
+                                       contention=w.contention, setup_s=w.setup_s,
+                                       deadline=deadline)
+
+        bundle = draw()
         broker_ch, broker_done, held = consume_slot_broker(nodes, walltime, bundle, cores)
-        pilot_ch, pilot_done = consume_slot_pilot(nodes, walltime,
-                                                  itertools.chain([bundle], pool),
+        pilot_ch, pilot_done = consume_slot_pilot(nodes, walltime, bundle, draw,
                                                   cfg.pilot, cores)
         residual = walltime - held
         rows.append([i, at, slot_nodes, slot_walltime, 1, nodes, walltime,

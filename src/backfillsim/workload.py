@@ -220,6 +220,9 @@ class WorkloadConfig:
                      "contention_mean_16way_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("event_mean_s", "event_max_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "payload_model", EventDurationModel.fit(
             self.event_mean_s, self.event_sigma, self.event_min_s, self.event_max_s,
             self.calibrated_at))
@@ -300,7 +303,7 @@ class SimJobSpec:
 
 def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Generator,
                         contention: Optional[ContentionModel] = None,
-                        setup_s: float = 0.0) -> np.ndarray:
+                        setup_s: float = 0.0, deadline: float = math.inf) -> np.ndarray:
     """Setup time plus the payload makespan of `n_jobs` independent
     payloads, by greedy list scheduling (tasks in draw order to the
     earliest-free slot) evaluated for all jobs at once.
@@ -321,25 +324,51 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
     so the one addition is the same; min and max round nothing; and which
     of two tied slots takes a task never changes the multiset of slot
     ends, which is all the makespan, `finish[slots - 1]`, reads.
+
+    With a finite `deadline`, a row whose lower bound `setup_s + (sum of
+    its tasks) / slots` exceeds `deadline` comes back as +inf and is never
+    scheduled; every other row keeps its exact makespan, and the draws from
+    `rng` are the same. The bound holds because some slot carries at least
+    the mean load whatever the schedule. The computed makespan may round
+    below the real one, and the computed bound above it, by at most about
+    `events * 2**-53` of the value. The bound is therefore shrunk by
+    `events * 2**-50`, which covers that rounding, plus 1e-12, so that a
+    +inf row's computed makespan exceeds `deadline` by a relative margin.
+    That margin outlasts one more rounding of `start + makespan` against a
+    walltime up to 1,000 times the makespan, as in the pilot's test of
+    `start + duration` with `walltime`. Rows only leave the batch, so no
+    other row's arithmetic changes.
     """
     durations = model.sample(n_jobs * spec.events, rng).reshape(n_jobs, spec.events)
     if contention is not None:
         durations = durations * contention.scale(spec.slots_per_node, model.calibrated_at)
     slots = spec.slots_per_node
-    if spec.events <= slots:
-        return setup_s + durations.max(axis=1)
-    finish = np.empty((slots + 1, n_jobs))
-    finish[:slots] = np.sort(durations[:, :slots], axis=1).T  # first wave fills every slot
-    finish[slots] = np.inf
-    head = finish[:-1]
-    end = np.empty(n_jobs)
-    moved = np.empty((slots, n_jobs))
-    # one contiguous row per task: column j of the remaining tasks, all jobs
-    for task in durations[:, slots:].T.copy():
-        np.add(finish[0], task, out=end)
-        np.minimum(finish[1:], end, out=moved)
-        np.maximum(head, moved, out=head)
-    return setup_s + finish[slots - 1]
+    kept = None
+    if deadline < math.inf:
+        bound = setup_s + durations.sum(axis=1) / slots
+        kept = bound * (1.0 - 1e-12 - spec.events * 2.0 ** -50) <= deadline
+        durations = durations[kept]
+    rows = len(durations)
+    if spec.events <= slots or rows == 0:  # one wave, or no row left to schedule
+        makespans = setup_s + durations.max(axis=1)
+    else:
+        finish = np.empty((slots + 1, rows))
+        finish[:slots] = np.sort(durations[:, :slots], axis=1).T  # first wave fills every slot
+        finish[slots] = np.inf
+        head = finish[:-1]
+        end = np.empty(rows)
+        moved = np.empty((slots, rows))
+        # one contiguous row per task: column j of the remaining tasks, all jobs
+        for task in durations[:, slots:].T.copy():
+            np.add(finish[0], task, out=end)
+            np.minimum(finish[1:], end, out=moved)
+            np.maximum(head, moved, out=head)
+        makespans = setup_s + finish[slots - 1]
+    if kept is None:
+        return makespans
+    out = np.full(n_jobs, np.inf)
+    out[kept] = makespans
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,9 @@ def test_criterion_11_pilot_vs_broker_consumption():
                                    contention=contention, setup_s=setup)
         pool = pool.reshape(gens, nodes)
         broker_ch, _, held = consume_slot_broker(nodes, walltime, pool[0], cores)
-        pilot_ch, _ = consume_slot_pilot(nodes, walltime, pool, overheads, cores)
+        later = iter(pool[1:])
+        pilot_ch, _ = consume_slot_pilot(nodes, walltime, pool[0], lambda _: next(later),
+                                         overheads, cores)
         assert pilot_ch >= broker_ch
         if walltime - held >= mean_task:
             strict_due += 1

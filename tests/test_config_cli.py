@@ -255,6 +255,19 @@ BAD_INPUTS = [
      "background: size_mix bands need 1 <= lo <= hi, got lo 0, hi 125"),
     ({"background": {"size_mix": [[1, 200, 125]]}},
      "background: size_mix bands need 1 <= lo <= hi, got lo 200, hi 125"),
+    ({"workload": {"event_max_s": math.inf}}, "workload: event_max_s must be finite, got inf"),
+    ({"workload": {"event_mean_s": math.nan}}, "workload: event_mean_s must be finite, got nan"),
+    ({"pilot": {"unit_sd_s": -1}}, "pilot: unit_sd_s must be >= 0, got -1"),
+    ({"pilot": {"unit_mean_s": 0}}, "pilot: unit_mean_s must be > 0, got 0"),
+    ({"pilot": {"unit_mean_s": -100}}, "pilot: unit_mean_s must be > 0, got -100"),
+    ({"pilot": {"nodes_list": []}}, "pilot: nodes_list must list at least one pilot size"),
+    ({"broker": {"min_nodes_per_bundle": 0}}, "broker: min_nodes_per_bundle must be >= 1, got 0"),
+    ({"broker": {"job_limit": -5}}, "broker: job_limit must be >= 0, got -5"),
+    ({"broker": {"stage_in_base_s": -1}}, "broker: stage_in_base_s must be >= 0, got -1"),
+    ({"broker": {"stage_in_per_gb_s": -40}}, "broker: stage_in_per_gb_s must be >= 0, got -40"),
+    ({"broker": {"stage_out_base_s": -1}}, "broker: stage_out_base_s must be >= 0, got -1"),
+    ({"broker": {"stage_out_per_gb_s": -40}},
+     "broker: stage_out_per_gb_s must be >= 0, got -40"),
 ]
 
 

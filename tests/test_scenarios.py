@@ -2,8 +2,10 @@ import csv
 import functools
 import importlib.util
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from backfillsim import (EasyBackfillScheduler, ScenarioConfig, config, emit_poll_trace,
@@ -104,17 +106,65 @@ def test_pilot_pulls_generations_only_while_it_can_start_a_unit():
     w, b = cfg.workload, cfg.broker
     pool = job_makespans_batch(3 * 300, b.job_spec, w.payload_model, stream_rng(1, "lazy"),
                                contention=w.contention, setup_s=w.setup_s).reshape(3, 300)
-    pulled = []
+    later = iter(pool[1:])
+    deadlines = []
 
-    def generations():
-        for row in pool:
-            pulled.append(row)
-            yield row
+    def draw(deadline):
+        deadlines.append(deadline)
+        return next(later)
 
-    lazy = scenarios.consume_slot_pilot(300, 7200, generations(), cfg.pilot, 16)
+    scenarios.consume_slot_pilot(300, 7200, pool[0], draw, cfg.pilot, 16)
     # a payload lasts about 6,565 s, so no node starts a third one in 7,200 s
-    assert len(pulled) == 2
-    assert lazy == scenarios.consume_slot_pilot(300, 7200, pool, cfg.pilot, 16)
+    assert len(deadlines) == 1
+    # the second generation is pulled with the time left to its first start
+    assert 0 < deadlines[0] < 7200 - min(pool[0])
+
+
+class RecordingTimeline(scenarios.AgentTimeline):
+    """An `AgentTimeline` that keeps every instance, to compare unit records."""
+
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made.append(self)
+
+
+def test_deadline_draw_keeps_every_unit_record(monkeypatch):
+    # up to 24-h slots, so pilots run several generations and the later
+    # generations' deadlines cut some rows and keep others
+    cfg = ScenarioConfig.from_dict(resolve_config({
+        "scenario": "broker_vs_pilot", "compare": {"slots": 40},
+        "cluster": {"backfill_caps": [[2147483648, 86400]]}}))
+    w, b = cfg.workload, cfg.broker
+    monkeypatch.setattr(scenarios, "AgentTimeline", RecordingTimeline)
+    bounded = []  # every batch drawn with a finite deadline
+
+    def records(nodes, walltime, seed, use_deadline):
+        rng = stream_rng(seed, "records")
+
+        def draw(deadline=math.inf):
+            ms = job_makespans_batch(nodes, b.job_spec, w.payload_model, rng,
+                                     contention=w.contention, setup_s=w.setup_s,
+                                     deadline=deadline if use_deadline else math.inf)
+            if use_deadline and deadline < math.inf:
+                bounded.append(ms)
+            return ms
+
+        RecordingTimeline.made.clear()
+        result = scenarios.consume_slot_pilot(nodes, walltime, draw(), draw, cfg.pilot, 16)
+        (timeline,) = RecordingTimeline.made
+        units = [(u.node, u.start, u.end, u.state) for u in timeline.units]
+        return result, units, timeline.finalize()
+
+    slots = [(i, min(nodes, b.max_nodes_per_bundle), walltime)
+             for i, (_, nodes, walltime) in enumerate(synthetic_slots(cfg))
+             if nodes >= b.min_nodes_per_bundle and walltime >= b.min_slot_walltime_s]
+    assert len(slots) > 10
+    for seed, nodes, walltime in slots:
+        assert records(nodes, walltime, seed, True) == records(nodes, walltime, seed, False)
+    rows = np.concatenate(bounded)
+    assert np.isinf(rows).any() and np.isfinite(rows).any()
 
 
 def test_slot_calibration_outputs(tmp_path):

@@ -179,6 +179,40 @@ def test_batch_matches_scalar_when_slot_ends_tie(n_jobs, slots, waves, seed):
     assert batch.tolist() == scalar
 
 
+@given(n_jobs=st.integers(0, 6), slots=st.sampled_from([8, 16]),
+       waves=st.sampled_from([(0, 1), (1, 0), (1, 1), (3, 5)]), seed=st.integers(0, 1000),
+       pick=st.sampled_from(["inf", "zero", "oracle", "below", "above", "random"]),
+       row=st.integers(0, 5), fraction=st.floats(0, 1.5))
+@settings(max_examples=300)
+def test_deadline_cuts_only_rows_that_end_after_it(n_jobs, slots, waves, seed, pick, row,
+                                                   fraction):
+    full, extra = waves
+    spec = SimJobSpec(events=full * slots + extra, slots_per_node=slots)
+    model = SmallIntegerDurationModel()
+    rng = stream_rng(seed, "deadline")
+    oracle = [job_makespan(spec, model, rng, setup_s=0.5) for _ in range(n_jobs)]
+    late = max(oracle, default=1.0)
+    target = oracle[row % n_jobs] if n_jobs else late
+    deadline = {"inf": math.inf, "zero": 0.0, "oracle": target,
+                "below": math.nextafter(target, -math.inf),
+                "above": math.nextafter(target, math.inf), "random": fraction * late}[pick]
+    batch = job_makespans_batch(n_jobs, spec, model, stream_rng(seed, "deadline"),
+                                setup_s=0.5, deadline=deadline)
+    durations = model.sample(n_jobs * spec.events, stream_rng(seed, "deadline"))
+    bounds = 0.5 + durations.reshape(n_jobs, spec.events).sum(axis=1) / slots
+    for got, want, bound in zip(batch.tolist(), oracle, bounds.tolist()):
+        if got == math.inf:
+            assert want > deadline
+        else:
+            assert got == want
+        if bound > deadline * (1 + 1e-9):
+            assert got == math.inf  # a row that cannot end in time is never scheduled
+    if pick == "inf":
+        unbounded = job_makespans_batch(n_jobs, spec, model, stream_rng(seed, "deadline"),
+                                        setup_s=0.5)
+        assert batch.tolist() == unbounded.tolist() == oracle
+
+
 @pytest.mark.parametrize("first, second", [(300, 300), (15, 1)])
 def test_batch_splits_along_its_stream(first, second):
     # the per-generation payload pool of broker_vs_pilot relies on this
