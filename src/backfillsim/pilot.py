@@ -32,7 +32,7 @@ class OverheadModel:
     def __post_init__(self):
         for f in fields(OverheadModel):
             value = getattr(self, f.name)
-            if value < 0:
+            if not value >= 0:  # NaN too: with it, next_start() never reaches the walltime
                 raise ValueError(f"{f.name} must be non-negative, got {value}")
 
 

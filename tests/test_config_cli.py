@@ -209,6 +209,7 @@ def test_every_entry_point_resolves_the_same_config():
 BAD_INPUTS = [
     ({"broker": {"failure_prob": 1.5}}, "broker: failure_prob"),
     ({"pilot": {"bootstrap_s": -5}}, "pilot: bootstrap_s"),
+    ({"pilot": {"bootstrap_s": math.nan}}, "pilot: bootstrap_s must be non-negative, got nan"),
     ({"broker": {"slots_per_node": 12}}, "broker: slots_per_node"),
     ({"workload": {"event_mean_s": 5000}}, "workload: event_mean_s"),
     ({"scenario": "weak_scaling", "pilot": {"queue": "capabilty"}}, "pilot: queue"),
