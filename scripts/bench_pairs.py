@@ -14,8 +14,11 @@ the unchanged
 
 in both exports, the parent first when i is even and the change first
 when i is odd, at perfbench's own seed and the benchmark's `run_seconds`.
-One `--trace 1` run per side and workload then gives the per-layer
-metrics. Runs go one at a time, never two at once.
+Then TRACED_RUNS `--trace 1` runs per side, in the same alternating order,
+give the per-layer metrics: each side's median, and each run's values
+with the host slowness of its untraced passes beside them, since a single
+traced run follows the host's speed phases. Runs go one at a time, never
+two at once.
 
 The output keeps each run's result line and the end-to-end block of its
 record file (raw wall times and the host slowness beside them), each
@@ -28,6 +31,7 @@ the parent's quartiles.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import shutil
 import statistics
@@ -38,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TRACED_RUNS = 2
 
 
 def git(*args: str) -> str:
@@ -63,6 +68,17 @@ def bench(tree: Path, workload: str, trace: int) -> dict:
     # each export only ever runs perfbench's default seed, so one record matches
     [path] = (tree / ".perfbench").glob(f"{workload}-seed*-trace{trace}.json")
     return {"result": json.loads(lines[-1]), "record": json.loads(path.read_text())}
+
+
+def run_slowness(tree: Path, record: dict) -> float:
+    """The host slowness over a traced run's untraced passes, by the
+    `_slowness` of `tree`'s own perfbench/run.py: a traced record keeps the
+    reference samples but not this value."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", tree / "perfbench/run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._slowness([p["reference_s"] for p in record["samples"]["passes"]
+                             if p["kind"] == "timed"])
 
 
 def spread(values: list[float]) -> dict:
@@ -148,11 +164,19 @@ def main(argv=None) -> int:
                     f"{side} run_s {runs[side]['result']['metrics']['run_s']['value']:.3f}"
                     if runs[side]["result"] else f"{side} failed" for side in SIDES),
                     file=sys.stderr, flush=True)
-            traced = {side: bench(trees[side], workload, 1) for side in SIDES}
-            per_layer = {}
-            if all(t["result"] for t in traced.values()):
+            traced = {side: [] for side in SIDES}
+            for i in range(TRACED_RUNS):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    traced[side].append(bench(trees[side], workload, 1))
+            per_layer, runs = {}, {}
+            if all(t["result"] for side in SIDES for t in traced[side]):
                 units = {m["name"]: m["unit"] for m in bench_spec["per_layer"]}
-                per_layer = {name: {side: traced[side]["result"]["metrics"][name]["value"]
+                runs = {side: [{"run_slowness": run_slowness(trees[side], t["record"]),
+                                "metrics": {name: t["result"]["metrics"][name]["value"]
+                                            for name in units}} for t in traced[side]]
+                        for side in SIDES}
+                per_layer = {name: {side: statistics.median(r["metrics"][name]
+                                                            for r in runs[side])
                                     for side in SIDES} | {"unit": unit}
                              for name, unit in units.items()}
             results.append({
@@ -165,11 +189,13 @@ def main(argv=None) -> int:
                                for p in pairs)] for side in SIDES},
                 "per_layer_traced": {
                     "command": f"python3 perfbench/run.py --workload {workload} --trace 1",
+                    "runs_per_side": TRACED_RUNS,
                     "failed_of_attempted": {
-                        side: ([traced[side]["result"]["failed"],
-                                traced[side]["result"]["attempted"]]
-                               if traced[side]["result"] else None) for side in SIDES},
-                    "metrics": per_layer},
+                        side: [sum(t["result"]["failed"] if t["result"] else 1
+                                   for t in traced[side]),
+                               sum(t["result"]["attempted"] if t["result"] else 1
+                                   for t in traced[side])] for side in SIDES},
+                    "metrics": per_layer, "runs": runs},
                 "pairs": pairs})
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -183,7 +209,10 @@ def main(argv=None) -> int:
                       "when i is even, the change first when i is odd. 'result' is the "
                       "printed result line; 'record_values' copies the end-to-end block of "
                       "the run's record file, with the raw wall times and the host slowness "
-                      "beside them. Quartiles: statistics.quantiles(method='inclusive').")}
+                      "beside them. Quartiles: statistics.quantiles(method='inclusive'). "
+                      f"per_layer_traced: {TRACED_RUNS} --trace 1 runs per side, alternating "
+                      "which side runs first; 'metrics' holds each side's median, 'runs' "
+                      "each run's values with the host slowness of its untraced passes.")}
     out["claim"] = []
     for workload, metric in claims:
         spec = next(m for m in metrics if m["name"] == metric)

@@ -137,9 +137,17 @@ class EventDurationModel:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF sampling in log space; every draw lies in [lo, hi]."""
+        return self.transform(self.uniforms(n, rng))
+
+    def uniforms(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """The random half of `sample`: n uniforms on the truncated CDF's range."""
         a = ndtr((math.log(self.lo) - self.mu) / self.sigma)
         b = ndtr((math.log(self.hi) - self.mu) / self.sigma)
-        u = rng.uniform(a, b, size=n)
+        return rng.uniform(a, b, size=n)
+
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        """The deterministic half of `sample`, element by element, so any
+        block of `uniforms` maps to the same bits as within the whole."""
         x = np.exp(self.mu + self.sigma * ndtri(u))
         return np.clip(x, self.lo, self.hi)
 
@@ -325,31 +333,61 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
     of two tied slots takes a task never changes the multiset of slot
     ends, which is all the makespan, `finish[slots - 1]`, reads.
 
-    With a finite `deadline`, a row whose lower bound `setup_s + (sum of
-    its tasks) / slots` exceeds `deadline` comes back as +inf and is never
-    scheduled; every other row keeps its exact makespan, and the draws from
-    `rng` are the same. The bound holds because some slot carries at least
-    the mean load whatever the schedule. The computed makespan may round
-    below the real one, and the computed bound above it, by at most about
-    `events * 2**-53` of the value. The bound is therefore shrunk by
-    `events * 2**-50`, which covers that rounding, plus 1e-12, so that a
-    +inf row's computed makespan exceeds `deadline` by a relative margin.
-    That margin outlasts one more rounding of `start + makespan` against a
-    walltime up to 1,000 times the makespan, as in the pilot's test of
-    `start + duration` with `walltime`. Rows only leave the batch, so no
-    other row's arithmetic changes.
+    With a finite `deadline`, a row that cannot end by it comes back as
+    +inf and is never scheduled; every other row keeps its exact makespan,
+    and the draws from `rng` are the same. All uniforms are drawn at once,
+    as without a deadline, but `model.transform` maps them one wave of
+    `slots` columns at a time, and only for the rows still alive. Before
+    each wave, a row is cut when its lower bound `setup_s + (sum of its
+    tasks so far + tasks left * model.lo * scale) / slots` exceeds
+    `deadline`; so no row is transformed past the wave that cuts it, and
+    none at all when `setup_s + events * model.lo * scale / slots` is past
+    `deadline`. The bound holds because some slot carries at least the
+    mean load whatever the schedule, and because `transform` clips every
+    task to at least `model.lo`: after the contention `scale`, every task
+    not yet transformed takes at least `model.lo * scale` (rounding is
+    monotone, so the computed product is no larger than any computed task).
+    Rows alive after the last wave are tested with the bound over their
+    full sums, so every row cut without waves is cut with them. The
+    computed makespan may round below the real one, and a computed bound
+    above it, by at most about `events * 2**-53` of the value. Each bound
+    is therefore shrunk by `events * 2**-50`, which covers that rounding,
+    plus 1e-12, so that a +inf row's computed makespan exceeds `deadline`
+    by a relative margin. That margin outlasts one more rounding of
+    `start + makespan` against a walltime up to 1,000 times the makespan,
+    as in the pilot's test of `start + duration` with `walltime`. Rows only
+    leave the batch, so no other row's arithmetic changes.
     """
-    durations = model.sample(n_jobs * spec.events, rng).reshape(n_jobs, spec.events)
-    if contention is not None:
-        durations = durations * contention.scale(spec.slots_per_node, model.calibrated_at)
-    slots = spec.slots_per_node
+    slots, events = spec.slots_per_node, spec.events
+    scale = 1.0 if contention is None else contention.scale(slots, model.calibrated_at)
+    u = model.uniforms(n_jobs * events, rng).reshape(n_jobs, events)
+
+    def tasks(block):
+        x = model.transform(block)
+        return x if contention is None else x * scale
+
     kept = None
-    if deadline < math.inf:
-        bound = setup_s + durations.sum(axis=1) / slots
-        kept = bound * (1.0 - 1e-12 - spec.events * 2.0 ** -50) <= deadline
+    if deadline == math.inf:
+        durations = tasks(u)
+    else:
+        shrink = 1.0 - 1e-12 - events * 2.0 ** -50
+        floor = model.lo * scale
+        kept = np.arange(n_jobs)  # rows still alive
+        durations = np.empty_like(u)
+        partial = np.zeros(n_jobs)  # each alive row's sum of transformed tasks
+        for c0 in range(0, events, slots):
+            alive = (setup_s + (partial + (events - c0) * floor) / slots) * shrink <= deadline
+            kept, partial = kept[alive], partial[alive]
+            if not len(kept):
+                break
+            wave = tasks(u[kept, c0:c0 + slots])
+            durations[kept, c0:c0 + slots] = wave
+            partial += wave.sum(axis=1)
         durations = durations[kept]
+        alive = (setup_s + durations.sum(axis=1) / slots) * shrink <= deadline
+        kept, durations = kept[alive], durations[alive]
     rows = len(durations)
-    if spec.events <= slots or rows == 0:  # one wave, or no row left to schedule
+    if events <= slots or rows == 0:  # one wave, or no row left to schedule
         makespans = setup_s + durations.max(axis=1)
     else:
         finish = np.empty((slots + 1, rows))

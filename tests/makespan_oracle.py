@@ -23,11 +23,21 @@ class ConstantDurationModel:
     value_s: float
     calibrated_at: int = 16
 
+    @property
+    def lo(self) -> float:
+        return self.value_s
+
     def mean(self) -> float:
         return self.value_s
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, self.value_s)
+        return self.transform(self.uniforms(n, rng))
+
+    def uniforms(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.random(n)
+
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(u), self.value_s)
 
 
 @dataclass(frozen=True)
@@ -35,9 +45,16 @@ class SmallIntegerDurationModel:
     """Event durations drawn from {1, 2, 3} seconds, so slot ends tie often."""
 
     calibrated_at: int = 16
+    lo = 1.0  # the least value `transform` returns
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(1, 4, size=n).astype(float)
+        return self.transform(self.uniforms(n, rng))
+
+    def uniforms(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.random(n)
+
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        return np.floor(1.0 + 3.0 * u)
 
 
 def list_schedule_makespan(durations: np.ndarray, slots: int) -> float:

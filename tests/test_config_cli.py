@@ -1,13 +1,17 @@
 import datetime
 import hashlib
 import math
+import signal
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backfillsim import (DEFAULTS, ConfigError, ScenarioConfig, config_hash, dump_defaults,
-                         load_scenario_file, resolve_config)
+                         load_scenario_file, resolve_config, run_scenario)
 from backfillsim.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -303,3 +307,51 @@ def test_tree_needs_every_key():
     # only resolve_config fills in defaults and presets
     with pytest.raises(ConfigError, match="missing key 'pilot'"):
         ScenarioConfig.from_dict({k: v for k, v in DEFAULTS.items() if k != "pilot"})
+
+
+# the keys that reach `job_makespans_batch` and `consume_slot_pilot`, and
+# the pair of them that can be swapped
+PAYLOAD_KEYS = [("workload", "event_mean_s"), ("workload", "event_sigma"),
+                ("workload", "event_min_s"), ("workload", "event_max_s"),
+                ("broker", "events_per_job"), ("broker", "slots_per_node"),
+                ("pilot", "bootstrap_s"), ("pilot", "dispatch_per_unit_s"),
+                ("pilot", "launch_per_unit_s")]
+SWAP = ("workload", "event_min_s", "event_max_s")
+
+
+class RunTimedOut(Exception):
+    pass
+
+
+def _time_out(signum, frame):
+    raise RunTimedOut
+
+
+@given(st.lists(st.tuples(st.sampled_from(PAYLOAD_KEYS + [SWAP]), st.sampled_from([0, -1, 1])),
+                max_size=3))
+@settings(max_examples=200)
+def test_payload_config_that_validates_also_runs(edits):
+    # three compare slots at seed 1, two of them accepted, so a valid draw
+    # runs the broker bundle and every pilot generation; a key not edited
+    # keeps its default
+    raw = {"scenario": "broker_vs_pilot", "horizon_days": 0.05, "compare": {"slots": 3},
+           "workload": {}, "broker": {}, "pilot": {}}
+    for edit, value in edits:
+        section, *keys = edit
+        if edit == SWAP:
+            old = {k: raw[section].get(k, DEFAULTS[section][k]) for k in keys}
+            raw[section].update(zip(keys, reversed(old.values())))
+        else:
+            raw[section][keys[0]] = value
+    try:
+        cfg = resolve_config(raw)
+    except ConfigError:
+        return
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        with tempfile.TemporaryDirectory() as base:
+            run_scenario(cfg, base_dir=base)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -180,7 +180,8 @@ def test_batch_matches_scalar_when_slot_ends_tie(n_jobs, slots, waves, seed):
 
 
 @given(n_jobs=st.integers(0, 6), slots=st.sampled_from([8, 16]),
-       waves=st.sampled_from([(0, 1), (1, 0), (1, 1), (3, 5)]), seed=st.integers(0, 1000),
+       waves=st.sampled_from([(0, 1), (1, 0), (1, 1), (3, 5), (5, 3)]),
+       seed=st.integers(0, 1000),
        pick=st.sampled_from(["inf", "zero", "oracle", "below", "above", "random"]),
        row=st.integers(0, 5), fraction=st.floats(0, 1.5))
 @settings(max_examples=300)
@@ -196,8 +197,8 @@ def test_deadline_cuts_only_rows_that_end_after_it(n_jobs, slots, waves, seed, p
     deadline = {"inf": math.inf, "zero": 0.0, "oracle": target,
                 "below": math.nextafter(target, -math.inf),
                 "above": math.nextafter(target, math.inf), "random": fraction * late}[pick]
-    batch = job_makespans_batch(n_jobs, spec, model, stream_rng(seed, "deadline"),
-                                setup_s=0.5, deadline=deadline)
+    rng = stream_rng(seed, "deadline")
+    batch = job_makespans_batch(n_jobs, spec, model, rng, setup_s=0.5, deadline=deadline)
     durations = model.sample(n_jobs * spec.events, stream_rng(seed, "deadline"))
     bounds = 0.5 + durations.reshape(n_jobs, spec.events).sum(axis=1) / slots
     for got, want, bound in zip(batch.tolist(), oracle, bounds.tolist()):
@@ -207,10 +208,37 @@ def test_deadline_cuts_only_rows_that_end_after_it(n_jobs, slots, waves, seed, p
             assert got == want
         if bound > deadline * (1 + 1e-9):
             assert got == math.inf  # a row that cannot end in time is never scheduled
+    unbounded_rng = stream_rng(seed, "deadline")
+    unbounded = job_makespans_batch(n_jobs, spec, model, unbounded_rng, setup_s=0.5)
+    # rows cut after any wave still drew all their uniforms
+    assert rng.bit_generator.state == unbounded_rng.bit_generator.state
     if pick == "inf":
-        unbounded = job_makespans_batch(n_jobs, spec, model, stream_rng(seed, "deadline"),
-                                        setup_s=0.5)
         assert batch.tolist() == unbounded.tolist() == oracle
+
+
+@pytest.mark.parametrize("slots", [8, 16])
+def test_deadline_keeps_a_row_that_ends_on_it_when_its_bound_rounds_up(slots):
+    # ten tasks of 0.1 s per slot end at 0.9999999999999999 s, while each
+    # wave's computed bound reaches 1.0: only the shrink keeps these rows
+    spec = SimJobSpec(events=10 * slots, slots_per_node=slots)
+    model = ConstantDurationModel(0.1)
+    want = job_makespan(spec, model, stream_rng(0, "ulp"))
+    assert want < 1.0
+    got = job_makespans_batch(3, spec, model, stream_rng(0, "ulp"), deadline=want)
+    assert got.tolist() == [want] * 3
+
+
+def test_transform_of_a_block_is_bit_exact():
+    # the deadline path transforms column blocks of alive rows only; each
+    # must carry the bits the whole-array transform gives those entries
+    rng = stream_rng(6, "block")
+    assert MODEL.sample(3000, rng).tolist() == \
+        MODEL.transform(MODEL.uniforms(3000, stream_rng(6, "block"))).tolist()
+    u = MODEL.uniforms(40 * 100, rng).reshape(40, 100)
+    whole = MODEL.transform(u)
+    rows = np.array([0, 3, 4, 17, 39])
+    for c0, c1 in [(0, 16), (16, 32), (96, 100), (0, 100)]:
+        assert MODEL.transform(u[rows, c0:c1]).tolist() == whole[rows, c0:c1].tolist()
 
 
 @pytest.mark.parametrize("first, second", [(300, 300), (15, 1)])
