@@ -218,8 +218,9 @@ def test_deadline_cuts_only_rows_that_end_after_it(n_jobs, slots, waves, seed, p
 
 @pytest.mark.parametrize("slots", [8, 16])
 def test_deadline_keeps_a_row_that_ends_on_it_when_its_bound_rounds_up(slots):
-    # ten tasks of 0.1 s per slot end at 0.9999999999999999 s, while each
-    # wave's computed bound reaches 1.0: only the shrink keeps these rows
+    # ten tasks of 0.1 s per slot end at 0.9999999999999999 s, while the
+    # bound before the first wave computes to 1.0: only the shrink keeps
+    # these rows
     spec = SimJobSpec(events=10 * slots, slots_per_node=slots)
     model = ConstantDurationModel(0.1)
     want = job_makespan(spec, model, stream_rng(0, "ulp"))
