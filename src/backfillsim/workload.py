@@ -367,9 +367,7 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
         return x if contention is None else x * scale
 
     kept = None
-    if deadline == math.inf:
-        durations = tasks(u)
-    else:
+    if deadline < math.inf:
         shrink = 1.0 - 1e-12 - events * 2.0 ** -50
         floor = model.lo * scale
         kept = np.arange(n_jobs)  # rows still alive
@@ -386,6 +384,8 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
         durations = durations[kept]
         alive = (setup_s + durations.sum(axis=1) / slots) * shrink <= deadline
         kept, durations = kept[alive], durations[alive]
+    else:
+        durations = tasks(u)
     rows = len(durations)
     if events <= slots or rows == 0:  # one wave, or no row left to schedule
         makespans = setup_s + durations.max(axis=1)
