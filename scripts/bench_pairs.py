@@ -25,7 +25,12 @@ record file (raw wall times and the host slowness beside them), each
 side's median and quartiles per metric, and, for each claimed metric,
 whether it meets the gain rule: the change better in at least 9 of 10
 pairs and the gap between the medians wider than the distance between
-the parent's quartiles.
+the parent's quartiles. Every other (workload, metric) pair gets a bound
+check: `within_bound` holds when the change's median over the parent's
+median is worse by no more than the metric's `bound` in BENCHMARK.json,
+and the pair is `unresolved` when the parent's interquartile range over
+its median is wider than that bound, so the runs spread too widely to
+tell.
 """
 
 from __future__ import annotations
@@ -108,6 +113,18 @@ def gain_met(entry: dict, lower: bool) -> bool:
     iqr = entry["parent"]["q3"] - entry["parent"]["q1"]
     return (entry["change_better_pairs"] >= 0.9 * entry["pairs"]
             and (gap if lower else -gap) > iqr)
+
+
+def bound_check(entry: dict, spec: dict) -> dict:
+    """The change's median against the parent's, within the metric's bound."""
+    ratio = entry["change_over_parent_median"]
+    worse = ratio - 1 if spec["better"] == "lower" else 1 - ratio
+    parent = entry["parent"]
+    spread_ratio = (parent["q3"] - parent["q1"]) / parent["median"]
+    return {"bound": spec["bound"], "change_over_parent_median": ratio,
+            "parent_iqr_over_median": spread_ratio,
+            "within_bound": worse <= spec["bound"],
+            "unresolved": spread_ratio > spec["bound"]}
 
 
 def pair_key(text: str) -> tuple[str, int]:
@@ -222,6 +239,10 @@ def main(argv=None) -> int:
             "rule": "change better in at least 9 of 10 pairs and median gap "
                     "above the parent's interquartile range",
             "met": bool(entry) and gain_met(entry, spec["better"] == "lower")})
+    out["bounds"] = [
+        {"workload": r["workload"], "metric": m["name"], **bound_check(r["summary"][m["name"]], m)}
+        for r in results for m in metrics
+        if [r["workload"], m["name"]] not in claims and m["name"] in r["summary"]]
     out["perfbench"] = results
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0

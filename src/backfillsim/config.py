@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime
 from pathlib import Path
@@ -63,12 +64,18 @@ class CompareConfig:
     slot_interval_s: int = 600
 
     def __post_init__(self):
+        # a NaN or infinite lognormal parameter draws NaN slots, and an
+        # infinite interval puts NaN into the first observed_at (0 * inf)
         for name in ("slot_nodes_mean", "slot_walltime_mean_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("slot_nodes_sigma", "slot_walltime_sigma", "slot_interval_s", "slots"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name in ("slot_nodes_sigma", "slot_walltime_sigma", "slot_interval_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if isinstance(self.slots, bool) or not isinstance(self.slots, int) or self.slots < 0:
+            raise ValueError(f"slots must be an integer >= 0, got {self.slots!r}")
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ latency on the node. Times are float seconds from the pilot's start.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, fields
-from typing import Optional
+from heapq import heapify, heapreplace
+from itertools import repeat
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -73,8 +75,7 @@ class PilotConfig(OverheadModel):
         return _QUEUES[self.queue]
 
 
-@dataclass
-class Unit:
+class Unit(NamedTuple):
     """A unit that started: its node, its start and end, and its outcome,
     DONE or INCOMPLETE (cut off at the walltime, so `end` is the walltime)."""
 
@@ -90,7 +91,9 @@ class AgentTimeline:
     Times are float seconds relative to the pilot's start. The agent
     becomes ready after bootstrap; each unit reaches the agent through a
     serial dispatch channel and starts on its node after the launch
-    latency. Execution past `walltime` is cut off at teardown.
+    latency. Execution past `walltime` is cut off at teardown; `units_cut`
+    counts the recorded units it cut. A fresh timeline places its first
+    generation in one numpy step where that is exact (see `add_units`).
     """
 
     def __init__(self, nodes: int, walltime: float, overheads: OverheadModel):
@@ -98,9 +101,11 @@ class AgentTimeline:
         self.overheads = overheads
         self.ready_at = overheads.bootstrap_s
         self._dispatch_cursor = self.ready_at
+        # a heap of (free at, node); sorted, as every node is free at ready_at
         self._free: list[tuple[float, int]] = [(self.ready_at, i) for i in range(nodes)]
-        heapq.heapify(self._free)
+        self._fresh = True  # no unit handed over yet
         self.units: list[Unit] = []
+        self.units_cut = 0
 
     def next_start(self) -> float:
         """When the next unit handed to `add_units` would start, whatever
@@ -111,34 +116,78 @@ class AgentTimeline:
         return (max(self._free[0][0], self._dispatch_cursor + o.dispatch_per_unit_s)
                 + o.launch_per_unit_s)
 
-    def add_units(self, durations: list[float]) -> None:
+    def add_units(self, durations: np.ndarray | list[float]) -> None:
         """Hand units of these durations to the agent, in order. Each unit
         that starts is recorded in `units` with its outcome, settled as it
-        starts. A unit that cannot start before the walltime leaves no
-        record, but still takes its turn on the dispatch channel."""
+        starts; `units_cut` counts those cut at the walltime. A unit that
+        cannot start before the walltime leaves no record, but still takes
+        its turn on the dispatch channel.
+
+        The first call on a fresh timeline places its first
+        min(len(durations), nodes) units in one numpy step: every node is
+        free at `ready_at`, so unit i goes to node i, as the per-unit loop
+        would put it, provided each unit placed ends strictly after
+        `ready_at` (a unit ending on it would free its node for the next
+        unit first). Otherwise, and for every later unit, the loop places
+        them one at a time. Both give the same records, bit for bit."""
+        durations = np.asarray(durations, dtype=float)
+        cursor = self._dispatch_cursor
+        placed = 0
+        if self._fresh:
+            self._fresh = False
+            placed, cursor = self._place_first_generation(durations)
         # the loop computes next_start() on locals, one unit at a time
-        free, walltime, append = self._free, self.walltime, self.units.append
+        free, walltime, append, new = self._free, self.walltime, self.units.append, tuple.__new__
         dispatch = self.overheads.dispatch_per_unit_s
         launch = self.overheads.launch_per_unit_s
-        cursor = self._dispatch_cursor
-        for duration in durations:
+        cut = 0
+        for duration in durations[placed:].tolist():
             cursor += dispatch
-            start = max(free[0][0], cursor) + launch
+            at, node = free[0]
+            start = (cursor if cursor > at else at) + launch
             if start >= walltime:
                 continue  # queued behind the walltime horizon
-            node = free[0][1]
             end = start + duration
-            heapq.heapreplace(free, (end, node))
+            heapreplace(free, (end, node))
             if end <= walltime:
-                append(Unit(node, start, end, DONE))
+                append(new(Unit, (node, start, end, DONE)))
             else:
-                append(Unit(node, start, walltime, INCOMPLETE))
+                append(new(Unit, (node, start, walltime, INCOMPLETE)))
+                cut += 1
         self._dispatch_cursor = cursor
+        self.units_cut += cut
+
+    def _place_first_generation(self, durations: np.ndarray) -> tuple[int, float]:
+        """Place the first units of a fresh timeline on nodes 0, 1, ... in
+        one step; returns how many units it handled and the dispatch cursor
+        after them, or (0, the cursor) when the step would not be exact."""
+        k = min(len(durations), len(self._free))
+        if k == 0:
+            return 0, self._dispatch_cursor
+        # the same sequential float sum as the loop's `cursor += dispatch`
+        cursors = np.full(k + 1, self.overheads.dispatch_per_unit_s, dtype=float)
+        cursors[0] = self._dispatch_cursor
+        np.add.accumulate(cursors, out=cursors)
+        starts = np.maximum(cursors[1:], self.ready_at) + self.overheads.launch_per_unit_s
+        started = int(np.searchsorted(starts, self.walltime))  # starts never decrease
+        ends = starts[:started] + durations[:started]
+        if not (ends > self.ready_at).all():
+            return 0, self._dispatch_cursor
+        self._free[:started] = zip(ends.tolist(), range(started))
+        heapify(self._free)
+        cut = ends > self.walltime
+        self.units_cut += int(np.count_nonzero(cut))
+        self.units.extend(map(tuple.__new__, repeat(Unit), zip(
+            range(started), starts[:started].tolist(),
+            np.minimum(ends, self.walltime).tolist(),
+            map((DONE, INCOMPLETE).__getitem__, cut.tolist()))))
+        return k, float(cursors[-1])
 
     def finalize(self) -> float:
         """The pilot's effective duration: until its last unit ends, or the
         walltime if a unit was cut; the bootstrap if no unit started."""
-        return min(max((u.end for u in self.units), default=self.ready_at), self.walltime)
+        return min(max(map(attrgetter("end"), self.units), default=self.ready_at),
+                   self.walltime)
 
 
 @dataclass
@@ -175,5 +224,5 @@ def run_pilot(nodes: int, walltime: int, durations: list[float],
     return PilotReport(duration_s=float(duration), mean_task_s=mean_task,
                        overhead_s=float(duration) - float(busy.mean()),
                        units_done=len(task_durations),
-                       units_incomplete=len(timeline.units) - len(task_durations),
+                       units_incomplete=timeline.units_cut,
                        generations_per_node=generations)

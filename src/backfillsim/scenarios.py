@@ -35,7 +35,7 @@ from .broker import BrokerFleet, MetricsPoller
 from .config import PILOT_SCALING, ScenarioConfig, config_hash
 from .metrics import (AvailabilityLedger, month_windows,
                       total_backfill_availability, window_report, write_window_reports)
-from .pilot import DONE, AgentTimeline, OverheadModel, PilotReport, run_pilot
+from .pilot import AgentTimeline, OverheadModel, PilotReport, run_pilot
 from .scheduler import BACKFILL, CAPABILITY, BatchJob, EasyBackfillScheduler, ReplayScheduler
 from .simcore import Simulation, stream_rng
 from .traces import emit_poll_trace, ingest_poll_trace, ingest_swf, trace_summary
@@ -297,14 +297,13 @@ def consume_slot_pilot(nodes: int, walltime: int, first: np.ndarray,
     timeline = AgentTimeline(nodes, walltime, overheads)
     durations = first
     while True:
-        timeline.add_units(durations.tolist())
+        timeline.add_units(durations)
         start = timeline.next_start()
         if start >= walltime:
             break
         durations = draw(walltime - start)
     timeline.finalize()
-    done = sum(1 for u in timeline.units if u.state == DONE)
-    return nodes * cores * walltime / 3600.0, done
+    return nodes * cores * walltime / 3600.0, len(timeline.units) - timeline.units_cut
 
 
 def run_broker_vs_pilot(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:

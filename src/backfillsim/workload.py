@@ -147,9 +147,14 @@ class EventDurationModel:
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         """The deterministic half of `sample`, element by element, so any
-        block of `uniforms` maps to the same bits as within the whole."""
-        x = np.exp(self.mu + self.sigma * ndtri(u))
-        return np.clip(x, self.lo, self.hi)
+        block of `uniforms` maps to the same bits as within the whole. The
+        steps work in place on `ndtri`'s result, with the bits of
+        `clip(exp(mu + sigma * ndtri(u)), lo, hi)`."""
+        x = ndtri(u)
+        x *= self.sigma
+        x += self.mu
+        np.exp(x, out=x)
+        return np.clip(x, self.lo, self.hi, out=x)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,20 @@ BAD_INPUTS = [
     ({"broker": {"stage_out_base_s": -1}}, "broker: stage_out_base_s must be >= 0, got -1"),
     ({"broker": {"stage_out_per_gb_s": -40}},
      "broker: stage_out_per_gb_s must be >= 0, got -40"),
+    ({"compare": {"slot_nodes_sigma": math.nan}},
+     "compare: slot_nodes_sigma must be finite and >= 0, got nan"),
+    ({"compare": {"slot_nodes_sigma": math.inf}},
+     "compare: slot_nodes_sigma must be finite and >= 0, got inf"),
+    ({"compare": {"slot_walltime_sigma": math.nan}},
+     "compare: slot_walltime_sigma must be finite and >= 0, got nan"),
+    ({"compare": {"slot_walltime_sigma": math.inf}},
+     "compare: slot_walltime_sigma must be finite and >= 0, got inf"),
+    ({"compare": {"slot_interval_s": math.nan}},
+     "compare: slot_interval_s must be finite and >= 0, got nan"),
+    ({"compare": {"slot_nodes_mean": math.inf}},
+     "compare: slot_nodes_mean must be finite and > 0, got inf"),
+    ({"compare": {"slots": math.nan}}, "compare: slots must be an integer >= 0, got nan"),
+    ({"compare": {"slots": 2.5}}, "compare: slots must be an integer >= 0, got 2.5"),
 ]
 
 
@@ -327,6 +341,23 @@ def _time_out(signum, frame):
     raise RunTimedOut
 
 
+def _validates_then_runs(raw):
+    """Either `resolve_config` rejects `raw` or `run_scenario` finishes it
+    within the time limit."""
+    try:
+        cfg = resolve_config(raw)
+    except ConfigError:
+        return
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        with tempfile.TemporaryDirectory() as base:
+            run_scenario(cfg, base_dir=base)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @given(st.lists(st.tuples(st.sampled_from(PAYLOAD_KEYS + [SWAP]), st.sampled_from([0, -1, 1])),
                 max_size=3))
 @settings(max_examples=200)
@@ -343,15 +374,16 @@ def test_payload_config_that_validates_also_runs(edits):
             raw[section].update(zip(keys, reversed(old.values())))
         else:
             raw[section][keys[0]] = value
-    try:
-        cfg = resolve_config(raw)
-    except ConfigError:
-        return
-    previous = signal.signal(signal.SIGALRM, _time_out)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    try:
-        with tempfile.TemporaryDirectory() as base:
-            run_scenario(cfg, base_dir=base)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    _validates_then_runs(raw)
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(DEFAULTS["compare"])),
+                          st.sampled_from([0, -1, 1, math.nan])), max_size=3))
+@settings(max_examples=200)
+def test_compare_config_that_validates_also_runs(edits):
+    # the three-slot run above with up to three `compare` keys set to 0,
+    # -1, 1 or NaN, so an edit of `slots` never lengthens the run
+    raw = {"scenario": "broker_vs_pilot", "horizon_days": 0.05, "compare": {"slots": 3}}
+    for key, value in edits:
+        raw["compare"][key] = value
+    _validates_then_runs(raw)

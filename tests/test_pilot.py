@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from backfillsim import AgentTimeline, OverheadModel, Unit, UnitDurationModel, run_pilot
 from backfillsim.pilot import DONE, INCOMPLETE
+from pilot_oracle import OracleTimeline
 
 ZERO = OverheadModel(bootstrap_s=0.0, dispatch_per_unit_s=0.0, launch_per_unit_s=0.0)
 
@@ -110,6 +111,37 @@ def test_next_start_is_the_next_units_start(durations, nodes, bootstrap, dispatc
     whole.add_units(durations)
     assert whole.units == timeline.units
     assert whole.next_start() == timeline.next_start()
+
+
+# zero, tied and infinite durations, and walltimes that cut inside the first generation
+unit_seconds = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 40.0, math.inf]),
+                         st.floats(0.0, 200.0))
+overhead_seconds = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+
+
+@given(st.integers(1, 8), st.lists(unit_seconds, max_size=24),
+       st.lists(st.integers(0, 24), max_size=3), overhead_seconds, overhead_seconds,
+       overhead_seconds, st.floats(0.5, 400.0))
+@example(3, [0.0] * 5, [], 0.0, 0.0, 0.0, 10.0)  # units ending at ready_at free their node
+@example(4, [50.0] * 6, [2], 5.0, 1.0, 0.5, 7.5)  # cut at the walltime in the first generation
+@settings(max_examples=300)
+def test_timeline_matches_the_per_unit_oracle(nodes, durations, cuts, bootstrap, dispatch,
+                                              launch, walltime):
+    overheads = OverheadModel(bootstrap, dispatch, launch)
+    oracle = OracleTimeline(nodes, walltime, overheads)
+    oracle.add_units(durations)
+    whole = AgentTimeline(nodes, walltime, overheads)
+    whole.add_units(durations)
+    # the same units handed over in several calls, the first maybe empty
+    split = AgentTimeline(nodes, walltime, overheads)
+    bounds = sorted(min(c, len(durations)) for c in cuts)
+    for lo, hi in zip([0, *bounds], [*bounds, len(durations)]):
+        split.add_units(durations[lo:hi])
+    for timeline in (whole, split):
+        assert timeline.units == oracle.units
+        assert timeline.units_cut == oracle.units_cut
+        assert timeline.next_start() == oracle.next_start()
+        assert timeline.finalize() == oracle.finalize()
 
 
 def test_walltime_expiry_cuts_running_units():

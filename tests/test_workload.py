@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
+from scipy.special import ndtr, ndtri
 from scipy.stats import lognorm
 
 import backfillsim
 from backfillsim import (BackgroundLoadProfile, IoProfile, SetupModel, SimJobSpec,
                          WorkloadConfig, generate_background_jobs, job_makespans_batch,
                          stream_rng)
-from backfillsim.workload import _brentq, _clipped_normal_mean, _truncated_lognormal_mean
+from backfillsim.workload import (EventDurationModel, _brentq, _clipped_normal_mean,
+                                  _truncated_lognormal_mean)
 
 from makespan_oracle import (ConstantDurationModel, SmallIntegerDurationModel, job_makespan,
                              list_schedule_makespan)
@@ -240,6 +242,20 @@ def test_transform_of_a_block_is_bit_exact():
     rows = np.array([0, 3, 4, 17, 39])
     for c0, c1 in [(0, 16), (16, 32), (96, 100), (0, 100)]:
         assert MODEL.transform(u[rows, c0:c1]).tolist() == whole[rows, c0:c1].tolist()
+
+
+@pytest.mark.parametrize("model", [
+    MODEL, EventDurationModel.fit(840.0, 0.4, 60.0, 4000.0, 16),
+    EventDurationModel.fit(300.0, 2.0, 1.0, 1e5, 8)])
+def test_in_place_transform_keeps_the_bits_of_the_expression(model):
+    # the bits of clip(exp(mu + sigma * ndtri(u)), lo, hi) over the whole
+    # range of `uniforms` and at both ends of it
+    u = model.uniforms(200_000, stream_rng(9, "in-place"))
+    a, b = (ndtr((math.log(x) - model.mu) / model.sigma) for x in (model.lo, model.hi))
+    u = np.concatenate([u, [a, b, np.nextafter(a, 1), np.nextafter(b, 0)]]).reshape(-1, 4)
+    expected = np.clip(np.exp(model.mu + model.sigma * ndtri(u)), model.lo, model.hi)
+    assert model.transform(u).tolist() == expected.tolist()
+    assert model.transform(u[7:9, 1:3]).tolist() == expected[7:9, 1:3].tolist()
 
 
 @pytest.mark.parametrize("first, second", [(300, 300), (15, 1)])
