@@ -24,6 +24,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -62,24 +64,30 @@ class RunManifest:
 # -- shared wiring --------------------------------------------------------------
 
 
-def _schedule_background(sim: Simulation, cluster: EasyBackfillScheduler,
-                         bg: BackgroundLoadProfile, horizon: int) -> None:
+def _feed_background(sim: Simulation, cluster: EasyBackfillScheduler,
+                     bg: BackgroundLoadProfile, horizon: int) -> None:
+    """Feed the capability jobs of the background load to `sim` in submit
+    order; each `BatchJob` is built only when its arrival fires."""
     total = cluster.config.total_nodes
     cap = cluster.config.cap_for(total, CAPABILITY)
     if bg.trace_path is not None:
-        stream = ((j.submit, j.nodes, j.runtime, j.walltime)
-                  for j in ingest_swf(bg.trace_path) if j.submit < horizon)
+        # `ingest_swf` keeps file order; a stable sort keeps it among equal submits
+        stream = sorted(((j.submit, j.nodes, j.runtime, j.walltime)
+                         for j in ingest_swf(bg.trace_path) if j.submit < horizon),
+                        key=itemgetter(0))
     else:
         stream = generate_background_jobs(bg, horizon, sim.rng("background"),
                                           total_nodes=total, capability_cap_s=cap)
-    for submit, nodes, runtime, walltime in stream:
+
+    def submit(nodes: int, runtime: int, walltime: int) -> None:
         nodes = min(nodes, total)
         walltime = min(walltime, cluster.config.cap_for(nodes, CAPABILITY))
         runtime = min(runtime, walltime)
-        job = BatchJob(nodes=nodes, walltime=walltime, runtime=max(1, runtime),
-                       priority_class=CAPABILITY)
-        sim.schedule(submit, "capability_arrival",
-                     lambda j=job: cluster.submit(j), target="background")
+        cluster.submit(BatchJob(nodes=nodes, walltime=walltime, runtime=max(1, runtime),
+                                priority_class=CAPABILITY))
+
+    sim.feed((at, "capability_arrival", partial(submit, nodes, runtime, walltime))
+             for at, nodes, runtime, walltime in stream)
 
 
 def measured_utilization(available_node_seconds: int, total_nodes: int,
@@ -120,7 +128,7 @@ def _run_cluster(cfg: ScenarioConfig, with_brokers: bool, n_brokers: int | None 
     sim = Simulation(seed=cfg.seed)
     cluster = EasyBackfillScheduler(sim, cfg.cluster)
     ledger = AvailabilityLedger(sim, cluster)
-    _schedule_background(sim, cluster, cfg.background, horizon)
+    _feed_background(sim, cluster, cfg.background, horizon)
     poller = MetricsPoller(sim, cluster, cfg.metrics.poll_interval_s)
     poller.start(0)
     fleet = None

@@ -3,8 +3,12 @@
 A single `Simulation` owns a virtual clock (integer seconds), an ordered
 event queue and a registry of named random-number streams. All other
 modules (cluster scheduler, brokers, pilots) are driven by callbacks
-scheduled here. Determinism contract: for a fixed root seed and a fixed
-sequence of schedule() calls, the event trace is identical across runs.
+scheduled here, and one ordered arrival feed (`Simulation.feed`) brings in
+external arrivals such as background jobs without putting them on the heap.
+Determinism contract: for a fixed root seed, a fixed sequence of schedule()
+calls and a fixed feed, the event trace is identical across runs. At equal
+times a fed arrival fires before every scheduled event, so feeding arrivals
+gives the order that scheduling all of them first would give.
 """
 
 from __future__ import annotations
@@ -13,15 +17,21 @@ import hashlib
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 SimTime = int  # simulated seconds since epoch 0
+Arrival = tuple[SimTime, str, Callable[[], None]]  # (fire_at, kind, callback)
+
+# the i-th fed arrival is traced with seq FED_SEQ_BASE + i, below every
+# scheduled seq, so a trace stays sorted by (fire_at, seq)
+FED_SEQ_BASE = -2 ** 62
 
 
 class CausalityError(Exception):
-    """An event was scheduled in the past; this is a logic bug, not input error."""
+    """An event was scheduled, or an arrival fed, in the past; this is a logic
+    bug, not input error."""
 
 
 def _stream_entropy(seed: int, stream_id: str) -> np.random.SeedSequence:
@@ -47,11 +57,14 @@ class SimEvent:
 
 
 class Simulation:
-    """Virtual clock + event queue + per-entity RNG streams.
+    """Virtual clock + event queue + arrival feed + per-entity RNG streams.
 
     Events fire in (fire_at, seq) order; seq is the insertion counter, so
     simultaneous events replay in the order they were scheduled. The heap holds
     `(fire_at, seq, event)` tuples: seq is unique, so no comparison reaches the event.
+    Fed arrivals never enter the heap. Each step fires the next fed arrival when
+    its fire_at is at or before the heap top: ties go to the arrival, as if every
+    arrival had been scheduled before any other event.
     """
 
     def __init__(self, seed: int = 0, record_trace: bool = False):
@@ -59,6 +72,9 @@ class Simulation:
         self.now: SimTime = 0
         self._queue: list[tuple[SimTime, int, SimEvent]] = []
         self._seq = 0
+        self._feed: Iterator[Arrival] = iter(())
+        self._fed: Optional[Arrival] = None  # the next arrival, pulled but not fired
+        self._fed_count = 0
         self._streams: dict[str, np.random.Generator] = {}
         self.record_trace = record_trace
         self.trace: list[tuple[SimTime, int, str]] = []
@@ -98,23 +114,56 @@ class Simulation:
         """Mark an event dead; it stays in the heap but will not fire."""
         event.cancelled = True
 
+    def feed(self, arrivals: Iterable[Arrival]) -> None:
+        """Fire `(fire_at, kind, callback)` arrivals in the order given.
+
+        The iterable is consumed lazily: the next arrival is pulled only when
+        the one before it fires, so at most one pulled arrival lies ahead of
+        the clock. Integer fire_at values must never decrease nor lie behind
+        the clock; pulling one that does raises `CausalityError`. There is one
+        feed: feeding again while arrivals are pending is an error.
+        """
+        if self._fed is not None:
+            raise ValueError("the previous feed still has arrivals pending")
+        self._feed = iter(arrivals)
+        self._pull()
+
+    def _pull(self) -> None:
+        fed = next(self._feed, None)
+        if fed is not None and fed[0] < self.now:
+            raise CausalityError(
+                f"arrival {fed[1]!r} fed at t={fed[0]} but clock is {self.now}")
+        self._fed = fed
+
     def run_until(self, limit: SimTime) -> SimTime:
-        """Fire all events with fire_at <= limit; returns the final clock.
+        """Fire all events and fed arrivals with fire_at <= limit; returns
+        the final clock.
 
         The clock ends at the time of the last fired event (never past
-        `limit`); an empty queue returns immediately.
+        `limit`); an empty queue and feed return immediately.
         """
-        while self._queue and self._queue[0][0] <= limit:
-            ev = heapq.heappop(self._queue)[2]
-            if ev.cancelled:
-                continue
-            self.now = ev.fire_at
-            if self.record_trace:
-                self.trace.append((ev.fire_at, ev.seq, ev.kind))
-            if ev.callback is not None:
-                ev.callback()
-        return self.now
+        queue = self._queue
+        while True:
+            fed = self._fed
+            if fed is not None and fed[0] <= limit and not (queue and queue[0][0] < fed[0]):
+                self.now = fed[0]
+                self._pull()
+                if self.record_trace:
+                    self.trace.append((fed[0], FED_SEQ_BASE + self._fed_count, fed[1]))
+                self._fed_count += 1
+                fed[2]()
+            elif queue and queue[0][0] <= limit:
+                ev = heapq.heappop(queue)[2]
+                if ev.cancelled:
+                    continue
+                self.now = ev.fire_at
+                if self.record_trace:
+                    self.trace.append((ev.fire_at, ev.seq, ev.kind))
+                if ev.callback is not None:
+                    ev.callback()
+            else:
+                return self.now
 
     def run(self) -> SimTime:
-        """Drain the queue completely."""
+        """Drain the queue and the feed completely."""
         return self.run_until(math.inf)

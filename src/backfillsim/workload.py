@@ -486,6 +486,9 @@ class BackgroundLoadProfile:
                      "walltime_factor_lo", "walltime_factor_hi"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        # the stream truncates runtimes to whole seconds, and a 0-s job has no walltime
+        if self.runtime_min_s < 1:
+            raise ValueError(f"runtime_min_s must be >= 1, got {self.runtime_min_s}")
         if self.runtime_min_s > self.runtime_max_s:
             raise ValueError(f"runtime_min_s {self.runtime_min_s} must be <= "
                              f"runtime_max_s {self.runtime_max_s}")

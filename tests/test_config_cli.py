@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from backfillsim import (DEFAULTS, ConfigError, ScenarioConfig, config_hash, dump_defaults,
@@ -244,6 +244,7 @@ BAD_INPUTS = [
      "background: walltime_factor_lo must be finite and > 0"),
     ({"background": {"runtime_min_s": 0}},
      "background: runtime_min_s must be finite and > 0, got 0"),
+    ({"background": {"runtime_min_s": 0.5}}, "background: runtime_min_s must be >= 1, got 0.5"),
     ({"background": {"runtime_min_s": 90000}},
      "background: runtime_min_s 90000 must be <= runtime_max_s 85000"),
     ({"background": {"runtime_sigma": 0}},
@@ -386,4 +387,27 @@ def test_compare_config_that_validates_also_runs(edits):
     raw = {"scenario": "broker_vs_pilot", "horizon_days": 0.05, "compare": {"slots": 3}}
     for key, value in edits:
         raw["compare"][key] = value
+    _validates_then_runs(raw)
+
+
+# the keys that shape the background stream `_feed_background` hands the engine
+BACKGROUND_KEYS = ["target_utilization", "runtime_mean_s", "runtime_sigma", "runtime_min_s",
+                   "runtime_max_s", "walltime_factor_lo", "walltime_factor_hi"]
+SIZE_MIXES = [[], [[1, 1, 1]], [[0, 1, 1]], [[1, 2, 1]], [[1, 0, 1]], [[1, 1]],
+              [[math.nan, 1, 1]], [[math.inf, 1, 1]], [[1, 1, math.nan]], [[1, 6000, 20000]]]
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.sampled_from(BACKGROUND_KEYS), st.sampled_from([0, -1, 0.5, math.inf, math.nan])),
+    st.tuples(st.just("size_mix"), st.sampled_from(SIZE_MIXES))), max_size=3))
+@example([("runtime_min_s", 0.5), ("runtime_max_s", 0.5)])  # once a 0-s walltime mid-run
+@settings(max_examples=200)
+def test_background_config_that_validates_also_runs(edits):
+    # a 0.01-day efficiency run (864 s) with up to three `background` keys
+    # set to 0, -1, 0.5, inf or NaN, or a zero, inverted, malformed, NaN or
+    # oversized size mix; the costliest draw that validates, 1-node jobs
+    # with a 0.5-s mean runtime clipped to 600 s, feeds about 26k arrivals
+    raw = {"scenario": "efficiency", "horizon_days": 0.01, "background": {}}
+    for key, value in edits:
+        raw["background"][key] = value
     _validates_then_runs(raw)

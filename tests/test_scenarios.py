@@ -10,7 +10,7 @@ import pytest
 
 from backfillsim import (EasyBackfillScheduler, ScenarioConfig, config, emit_poll_trace,
                          job_makespans_batch, load_scenario_file, resolve_config,
-                         run_scenario, scenarios, stream_rng, synthetic_slots)
+                         Simulation, run_scenario, scenarios, stream_rng, synthetic_slots)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -327,3 +327,43 @@ def test_efficiency_accepts_swf_background(tmp_path):
         "slots.csv": "59b5ba2d360d299c56e341e5efb35c7ffda558c2cb9a1478afadc592d43975de",
         "summary.yaml": "3b56d32b6ace31464fc972c542bb3f153be5e9a31f77d98463950bbaae773e62",
     }
+
+
+def test_swf_background_in_file_order_runs_as_its_stably_sorted_copy(tmp_path):
+    from backfillsim import TraceJob, emit_swf, generate_background_jobs
+    from backfillsim.workload import BackgroundLoadProfile
+    jobs = [TraceJob(t, n, r, w) for t, n, r, w in
+            generate_background_jobs(BackgroundLoadProfile(target_utilization=0.8), 21600,
+                                     stream_rng(8, "swf-bg"), total_nodes=18688,
+                                     capability_cap_s=86400)]
+    # every third job shares its predecessor's submit time, then the file is shuffled
+    for i in range(2, len(jobs), 3):
+        jobs[i] = TraceJob(jobs[i - 1].submit, jobs[i].nodes, jobs[i].runtime, jobs[i].walltime)
+    shuffled = [jobs[i] for i in np.random.default_rng(3).permutation(len(jobs))]
+    assert [j.submit for j in shuffled] != sorted(j.submit for j in shuffled)
+
+    def outputs(name, order):
+        emit_swf(tmp_path / f"{name}.swf", order)
+        cfg = resolve_config({"scenario": "efficiency", "output_dir": name, "horizon_days": 0.25,
+                              "background": {"target_utilization": None,
+                                             "trace_path": str(tmp_path / f"{name}.swf")}})
+        return run_scenario(cfg, base_dir=tmp_path).outputs
+
+    # three jobs too wide to run together tie at t=3600, so the one listed
+    # first in the file runs first
+    wide = [TraceJob(3600, nodes, 5400, 7200) for nodes in (12000, 10000, 11000)]
+    assert outputs("shuffled", shuffled + wide) == outputs(
+        "sorted", sorted(shuffled + wide, key=lambda j: j.submit))
+    assert outputs("swapped", shuffled + wide[::-1]) != outputs("shuffled", shuffled + wide)
+
+
+def test_background_arrivals_are_fed_not_scheduled():
+    tree = ScenarioConfig.from_dict(resolve_config({"scenario": "efficiency"}))
+    sim = Simulation(seed=1, record_trace=True)
+    cluster = EasyBackfillScheduler(sim, tree.cluster)
+    scenarios._feed_background(sim, cluster, tree.background, 86400)
+    assert sim._queue == [] and cluster.queue == []
+    sim.run_until(3600)
+    arrivals = [t for t, _, kind in sim.trace if kind == "capability_arrival"]
+    assert len(arrivals) == cluster._submit_counter > 0
+    assert all(ev.kind != "capability_arrival" for _, _, ev in sim._queue)

@@ -105,3 +105,77 @@ def test_rng_stream_is_cached_per_simulation():
     r1 = sim.rng("x")
     r1.random(3)
     assert sim.rng("x") is r1
+
+
+def test_fed_arrivals_fire_before_events_at_the_same_second():
+    sim = Simulation()
+    fired = []
+    sim.schedule(10, "event", lambda: fired.append("event"))
+
+    def first():
+        fired.append("a1")
+        sim.schedule(sim.now, "during", lambda: fired.append("during"))
+
+    sim.feed([(10, "arrival", first), (10, "arrival", lambda: fired.append("a2")),
+              (11, "arrival", lambda: fired.append("a3"))])
+    assert sim.run_until(10) == 10
+    # an event scheduled at t=10, before or during it, waits for every arrival at 10
+    assert fired == ["a1", "a2", "event", "during"]
+    sim.run()
+    assert fired[-1] == "a3"
+
+
+def test_feed_that_goes_backwards_or_behind_the_clock_raises():
+    sim = Simulation()
+    sim.feed([(5, "arrival", lambda: None), (3, "arrival", lambda: None)])
+    with pytest.raises(CausalityError, match="fed at t=3 but clock is 5"):
+        sim.run()
+
+    sim = Simulation()
+    sim.schedule(60, "tick", lambda: None)
+    sim.run_until(60)
+    with pytest.raises(CausalityError, match="fed at t=50 but clock is 60"):
+        sim.feed([(50, "late", lambda: None)])
+
+
+def test_second_feed_while_arrivals_pend_is_an_error():
+    sim = Simulation()
+    sim.feed([(5, "arrival", lambda: None)])
+    with pytest.raises(ValueError, match="pending"):
+        sim.feed([(6, "arrival", lambda: None)])
+    sim.run()
+    sim.feed([(6, "arrival", lambda: None)])  # the first feed is used up
+
+
+def test_feed_is_pulled_one_arrival_at_a_time():
+    sim = Simulation()
+    pulled = []  # (fire_at, clock when pulled)
+
+    def arrivals():
+        for t in range(0, 200, 7):
+            pulled.append((t, sim.now))
+            yield t, "arrival", lambda: None
+
+    def tick():
+        if sim.now < 150:
+            sim.schedule_in(5, "tick", tick)
+
+    sim.schedule(0, "tick", tick)
+    sim.feed(arrivals())
+    sim.run_until(100)
+    # arrivals up to t=98 fired; only the one at t=105 was pulled past the clock
+    assert [t for t, _ in pulled] == list(range(0, 106, 7))
+    for i, (_, clock) in enumerate(pulled):
+        assert sum(t > clock for t, _ in pulled[:i + 1]) <= 1
+
+
+def test_trace_records_fed_arrivals_in_firing_order():
+    sim = Simulation(record_trace=True)
+    sim.schedule(5, "event", lambda: None)
+    sim.feed([(0, "arrival", lambda: None), (5, "arrival", lambda: None)])
+    sim.run()
+    assert [(t, kind) for t, _, kind in sim.trace] == [(0, "arrival"), (5, "arrival"),
+                                                      (5, "event")]
+    # fed arrivals carry seqs below every scheduled one, so the trace is sorted
+    assert sorted(sim.trace) == sim.trace
+    assert sim.trace[2][1] == 0
