@@ -20,13 +20,14 @@ timing.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +90,229 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the standard normal CDF and its inverse
+#
+# Ports of Cephes `ndtr.c` and `ndtri.c` (Moshier, Methods and Programs for
+# Mathematical Functions, 1989), the code behind `scipy.special.ndtr` and
+# `ndtri`: the same coefficients, branches and Horner order. A `Q` table's
+# leading 1.0 is the one Cephes' `p1evl` implies; `1.0 * x` is exact, so
+# `_polevl` serves for both.
+
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+_SQRT1_2 = 7.07106781186547524401e-1
+
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2): below it, and above 1 - it, the tails
+_ONE_MINUS_EXP_M2 = 1.0 - 0.13533528323661269189
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+# tails closer to 0 or 1 than this (deeper than exp(-32) = 1.27e-14, where
+# Cephes changes tables) and arguments outside (0, 1) go through the scalar
+# `_ndtri`, which takes libm's log as Cephes does
+_NDTRI_DEEP = 2e-14
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    if math.isnan(x):
+        return math.nan
+    if x < 0.0:
+        return -_erf(-x)
+    if abs(x) > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(a: float) -> float:
+    if math.isnan(a):
+        return math.nan
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:  # underflow
+        return 2.0 if a < 0 else 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        y = z * _polevl(x, _ERFC_P) / _polevl(x, _ERFC_Q)
+    else:
+        y = z * _polevl(x, _ERFC_R) / _polevl(x, _ERFC_S)
+    if a < 0:
+        y = 2.0 - y
+    if y == 0.0:  # underflow
+        return 2.0 if a < 0 else 0.0
+    return y
+
+
+def ndtr(a: float) -> float:
+    """The standard normal CDF at `a`: `scipy.special.ndtr(a)` to the bit."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+def _ndtri(y0: float) -> float:
+    """Cephes `ndtri` for one float, with libm's log: `scipy.special.ndtri`
+    to the bit on every argument."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if not 0.0 < y0 < 1.0:
+        return math.nan
+    y, negate = y0, True
+    if y > _ONE_MINUS_EXP_M2:
+        y, negate = 1.0 - y, False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
+def _polevl_into(x: np.ndarray, coef: tuple, out: np.ndarray) -> np.ndarray:
+    """`_polevl` elementwise into `out`, one rounding per step as in C
+    without FMA; a leading 1.0 starts at `x + coef[1]` as `p1evl` does."""
+    if coef[0] == 1.0:
+        np.add(x, coef[1], out=out)
+    else:
+        np.multiply(x, coef[0], out=out)
+        out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+_SCRATCH = threading.local()
+
+
+def _work(rows: int, n: int) -> np.ndarray:
+    """`rows` x `n` floats of this thread's scratch, reused from call to call:
+    fresh large temporaries page-fault on every call and cost more than the
+    arithmetic. One user at a time: `ndtri`, then the cut and the schedule
+    of `job_makespans_batch`, each done with it before the next takes it."""
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < rows * n:
+        buf = _SCRATCH.buf = np.empty(rows * n)
+    return buf[:rows * n].reshape(rows, n)
+
+
+def ndtri(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The standard normal quantile of each element of `u`, in a new array
+    or in `out`: a C-contiguous float array of u's shape, u itself allowed.
+
+    The central rational (exp(-2) < u <= 1 - exp(-2)) runs in place over the
+    whole block in Cephes' order, so its bits are `scipy.special.ndtri`'s;
+    the tail formula then runs on the tail subset only and overwrites it.
+    The tails take numpy's vectorised log, not libm's, so a few tail results
+    differ from scipy's in the last bits (1,263 of 20M uniforms, by at most
+    6 ulp).
+    Elements deeper in the tails than `_NDTRI_DEEP`, and 0, 1, NaN and
+    arguments outside [0, 1], take the scalar `_ndtri`, so they match scipy
+    exactly and raise no warning."""
+    u = np.ascontiguousarray(u, dtype=float)
+    flat = u.reshape(-1)
+    y2, num, den, tail_y = _work(4, flat.size)
+    tail = np.flatnonzero((flat <= _EXP_M2) | (flat > _ONE_MINUS_EXP_M2))
+    m = len(tail)
+    y = np.take(flat, tail, out=tail_y[:m])
+    up = y > _ONE_MINUS_EXP_M2
+    np.subtract(1.0, y, out=y, where=up)
+    odd = None
+    if m and not y.min() >= _NDTRI_DEEP:
+        bad = ~(y >= _NDTRI_DEEP)
+        odd = tail[bad]
+        odd_u = flat[odd].tolist()
+        y[bad] = 0.5  # a value on which no step below warns
+        flat = flat.copy()
+        flat[odd] = 0.5
+    if out is None:
+        out = np.empty_like(u)
+    x = out.reshape(-1)
+    np.subtract(flat, 0.5, out=x)
+    np.multiply(x, x, out=y2)
+    _polevl_into(y2, _NDTRI_P0, num)
+    _polevl_into(y2, _NDTRI_Q0, den)
+    num *= y2
+    num /= den
+    num *= x
+    x += num
+    x *= _S2PI
+    if not m:
+        return out
+    r, p, q = y2[:m], num[:m], den[:m]
+    np.log(y, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)  # r = sqrt(-2 log y)
+    np.log(r, out=p)
+    p /= r
+    np.subtract(r, p, out=y)  # y = x0
+    np.divide(1.0, r, out=r)  # r = z
+    _polevl_into(r, _NDTRI_P1, p)
+    _polevl_into(r, _NDTRI_Q1, q)
+    p *= r
+    p /= q
+    y -= p
+    np.negative(y, out=y, where=~up)
+    x[tail] = y
+    if odd is not None:
+        x[odd] = [_ndtri(v) for v in odd_u]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # per-event duration
 
 
@@ -97,8 +321,8 @@ def _truncated_lognormal_mean(mu: float, sigma: float, lo: float, hi: float) -> 
     # which `fit` reports, instead of numpy warning about inf * 0 first
     a = (math.log(lo) - mu) / sigma
     b = (math.log(hi) - mu) / sigma
-    z = float(ndtr(b) - ndtr(a))
-    return math.exp(mu + 0.5 * sigma * sigma) * float(ndtr(b - sigma) - ndtr(a - sigma)) / z
+    z = ndtr(b) - ndtr(a)
+    return math.exp(mu + 0.5 * sigma * sigma) * (ndtr(b - sigma) - ndtr(a - sigma)) / z
 
 
 @dataclass(frozen=True)
@@ -145,12 +369,13 @@ class EventDurationModel:
         b = ndtr((math.log(self.hi) - self.mu) / self.sigma)
         return rng.uniform(a, b, size=n)
 
-    def transform(self, u: np.ndarray) -> np.ndarray:
+    def transform(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The deterministic half of `sample`, element by element, so any
-        block of `uniforms` maps to the same bits as within the whole. The
-        steps work in place on `ndtri`'s result, with the bits of
+        block of `uniforms` maps to the same bits as within the whole, in a
+        new array or in `out` (as for `ndtri`, u itself allowed). The steps
+        work in place on `ndtri`'s result, with the bits of
         `clip(exp(mu + sigma * ndtri(u)), lo, hi)`."""
-        x = ndtri(u)
+        x = ndtri(u, out)
         x *= self.sigma
         x += self.mu
         np.exp(x, out=x)
@@ -314,6 +539,21 @@ class SimJobSpec:
             raise ValueError(f"slots_per_node must be 8 or 16, got {self.slots_per_node}")
 
 
+_GRID = 4096  # steps of the quantile table over [0, 1]; a power of two, so u * _GRID is exact
+
+
+@functools.lru_cache(maxsize=16)
+def _quantile_floor(model) -> np.ndarray:
+    """Entry k is `model.transform` at (k - 1) / _GRID, and at 0 for k = 0:
+    for a non-decreasing `transform`, no more than the task of any uniform
+    `u` with `int(u * _GRID) == k`, since u >= k / _GRID. One step low, so a
+    transform that is monotone only up to its rounding stays above it.
+    Cached, so read-only."""
+    floor = model.transform(np.maximum(np.arange(-1, _GRID), 0) / _GRID)
+    floor.flags.writeable = False
+    return floor
+
+
 def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Generator,
                         contention: Optional[ContentionModel] = None,
                         setup_s: float = 0.0, deadline: float = math.inf) -> np.ndarray:
@@ -341,54 +581,53 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
     With a finite `deadline`, a row that cannot end by it comes back as
     +inf and is never scheduled; every other row keeps its exact makespan,
     and the draws from `rng` are the same. All uniforms are drawn at once,
-    as without a deadline, but `model.transform` maps them one wave of
-    `slots` columns at a time, and only for the rows still alive. Before
-    each wave, a row is cut when its lower bound `setup_s + (sum of its
-    tasks so far + tasks left * model.lo * scale) / slots` exceeds
-    `deadline`; so no row is transformed past the wave that cuts it, and
-    none at all when `setup_s + events * model.lo * scale / slots` is past
-    `deadline`. The bound holds because some slot carries at least the
-    mean load whatever the schedule, and because `transform` clips every
-    task to at least `model.lo`: after the contention `scale`, every task
-    not yet transformed takes at least `model.lo * scale` (rounding is
-    monotone, so the computed product is no larger than any computed task).
-    Rows alive after the last wave are tested with the bound over their
-    full sums, so every row cut without waves is cut with them. The
-    computed makespan may round below the real one, and a computed bound
-    above it, by at most about `events * 2**-53` of the value. Each bound
-    is therefore shrunk by `events * 2**-50`, which covers that rounding,
-    plus 1e-12, so that a +inf row's computed makespan exceeds `deadline`
-    by a relative margin. That margin outlasts one more rounding of
-    `start + makespan` against a walltime up to 1,000 times the makespan,
-    as in the pilot's test of `start + duration` with `walltime`. Rows only
-    leave the batch, so no other row's arithmetic changes.
+    as without a deadline, but `model.transform` maps only the rows that
+    pass a cut. The cut is a lower bound on each row's makespan,
+    `setup_s + (sum of the row's table floors) / slots`: a uniform `u` (all
+    lie in [0, 1]) has the floor `_quantile_floor(model)[int(u * _GRID)] *
+    scale`, which is no larger than its task (`transform` is non-decreasing,
+    and rounding the product with `scale` is monotone). The surviving rows are transformed
+    and tested again with the bound over their tasks' full sums, which
+    decides. Both bounds hold because some slot carries at least the mean
+    load whatever the schedule. Floors no larger than tasks, summed in the
+    same order, give a computed sum no larger than the tasks' (each
+    rounded addition is monotone), so the cut never drops a row the full
+    sums keep. The computed makespan may round below the real one, and a
+    computed bound above it, by at most about `events * 2**-53` of the
+    value. Each bound is therefore shrunk by `events * 2**-50`, which
+    covers that rounding, plus 1e-12, so that a +inf row's computed
+    makespan exceeds `deadline` by a relative margin. That margin outlasts
+    one more rounding of `start + makespan` against a walltime up to 1,000
+    times the makespan, as in the pilot's test of `start + duration` with
+    `walltime`. Rows only leave the batch, so no other row's arithmetic
+    changes.
     """
     slots, events = spec.slots_per_node, spec.events
     scale = 1.0 if contention is None else contention.scale(slots, model.calibrated_at)
     u = model.uniforms(n_jobs * events, rng).reshape(n_jobs, events)
 
-    def tasks(block):
-        x = model.transform(block)
-        return x if contention is None else x * scale
+    def tasks(block):  # each block is the batch's own, so transform may overwrite it
+        x = model.transform(block, out=block)
+        if contention is not None:
+            x *= scale
+        return x
 
     kept = None
     if deadline < math.inf:
         shrink = 1.0 - 1e-12 - events * 2.0 ** -50
-        floor = model.lo * scale
-        kept = np.arange(n_jobs)  # rows still alive
-        durations = np.empty_like(u)
-        partial = np.zeros(n_jobs)  # each alive row's sum of transformed tasks
-        for c0 in range(0, events, slots):
-            alive = (setup_s + (partial + (events - c0) * floor) / slots) * shrink <= deadline
-            kept, partial = kept[alive], partial[alive]
-            if not len(kept):
-                break
-            wave = tasks(u[kept, c0:c0 + slots])
-            durations[kept, c0:c0 + slots] = wave
-            partial += wave.sum(axis=1)
-        durations = durations[kept]
+        floors = _quantile_floor(model) * scale
+        grid, index = _work(2, u.size)
+        np.multiply(u.reshape(-1), _GRID, out=grid)
+        index = index.view(np.int64)
+        np.copyto(index, grid, casting="unsafe")  # truncates: int(u * _GRID)
+        bound = np.take(floors, index, out=grid).reshape(u.shape).sum(axis=1)
+        kept = np.flatnonzero((setup_s + bound / slots) * shrink <= deadline)
+        if not len(kept):
+            return np.full(n_jobs, np.inf)
+        durations = tasks(u if len(kept) == n_jobs else u[kept])
         alive = (setup_s + durations.sum(axis=1) / slots) * shrink <= deadline
-        kept, durations = kept[alive], durations[alive]
+        if not alive.all():  # else keep the rows without copying them
+            kept, durations = kept[alive], durations[alive]
     else:
         durations = tasks(u)
     rows = len(durations)
@@ -402,7 +641,9 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
         end = np.empty(rows)
         moved = np.empty((slots, rows))
         # one contiguous row per task: column j of the remaining tasks, all jobs
-        for task in durations[:, slots:].T.copy():
+        rest = _work(events - slots, rows)
+        np.copyto(rest, durations[:, slots:].T)
+        for task in rest:
             np.add(finish[0], task, out=end)
             np.minimum(finish[1:], end, out=moved)
             np.maximum(head, moved, out=head)
@@ -539,18 +780,27 @@ def generate_background_jobs(profile: BackgroundLoadProfile, horizon_s: int,
     cdf = np.cumsum(weights / weights.sum())
     cdf = (cdf / cdf[-1]).tolist()
     mu = math.log(profile.runtime_mean_s) - 0.5 * profile.runtime_sigma ** 2
+    sigma = profile.runtime_sigma
+    wall_lo, wall_hi = profile.walltime_factor_lo, profile.walltime_factor_hi
+    gap = 1.0 / rate
+    # each draw spells out the generator method it replaces, with its bits
+    # and stream: exponential(s) is s * standard_exponential(), uniform(lo,
+    # hi) is lo + (hi - lo) * random(), lognormal(mu, sigma) is
+    # exp(mu + sigma * standard_normal()); scalar method calls with
+    # parameters cost several times more
     t = 0.0
     while True:
-        t += rng.exponential(1.0 / rate)
+        t += gap * rng.standard_exponential()
         if t >= horizon_s:
             return
         band = bisect.bisect_right(cdf, rng.random())
         _, lo, hi = profile.size_mix[band]
-        nodes = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi + 1)))))
+        log_lo = math.log(lo)
+        nodes = int(round(math.exp(log_lo + (math.log(hi + 1) - log_lo) * rng.random())))
         nodes = max(lo, min(hi, nodes))
-        runtime = int(min(max(rng.lognormal(mu, profile.runtime_sigma),
+        runtime = int(min(max(math.exp(mu + sigma * rng.standard_normal()),
                               profile.runtime_min_s), profile.runtime_max_s))
-        factor = rng.uniform(profile.walltime_factor_lo, profile.walltime_factor_hi)
+        factor = wall_lo + (wall_hi - wall_lo) * rng.random()
         walltime = min(int(math.ceil(runtime * factor)), capability_cap_s)
         runtime = min(runtime, walltime)
         yield int(t), nodes, runtime, walltime

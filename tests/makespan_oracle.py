@@ -23,10 +23,6 @@ class ConstantDurationModel:
     value_s: float
     calibrated_at: int = 16
 
-    @property
-    def lo(self) -> float:
-        return self.value_s
-
     def mean(self) -> float:
         return self.value_s
 
@@ -36,8 +32,10 @@ class ConstantDurationModel:
     def uniforms(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.random(n)
 
-    def transform(self, u: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(u), self.value_s)
+    def transform(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        out = np.empty(np.shape(u)) if out is None else out
+        out[...] = self.value_s
+        return out
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,6 @@ class SmallIntegerDurationModel:
     """Event durations drawn from {1, 2, 3} seconds, so slot ends tie often."""
 
     calibrated_at: int = 16
-    lo = 1.0  # the least value `transform` returns
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.transform(self.uniforms(n, rng))
@@ -53,8 +50,8 @@ class SmallIntegerDurationModel:
     def uniforms(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.random(n)
 
-    def transform(self, u: np.ndarray) -> np.ndarray:
-        return np.floor(1.0 + 3.0 * u)
+    def transform(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.floor(1.0 + 3.0 * u, out=out)
 
 
 def list_schedule_makespan(durations: np.ndarray, slots: int) -> float:

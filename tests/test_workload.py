@@ -3,28 +3,31 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize
-from scipy.special import ndtr, ndtri
+from scipy import integrate, optimize, special
 from scipy.stats import lognorm
 
 import backfillsim
 from backfillsim import (BackgroundLoadProfile, IoProfile, SetupModel, SimJobSpec,
                          WorkloadConfig, generate_background_jobs, job_makespans_batch,
                          stream_rng)
-from backfillsim.workload import (EventDurationModel, _brentq, _clipped_normal_mean,
-                                  _truncated_lognormal_mean)
+from backfillsim.workload import (_GRID, EventDurationModel, _brentq, _clipped_normal_mean,
+                                  _erf, _erfc, _ndtri, _quantile_floor,
+                                  _truncated_lognormal_mean, ndtr, ndtri)
 
 from makespan_oracle import (ConstantDurationModel, SmallIntegerDurationModel, job_makespan,
                              list_schedule_makespan)
 
 WORKLOAD = WorkloadConfig()
 MODEL = WORKLOAD.payload_model
+MODELS = [MODEL, EventDurationModel.fit(840.0, 0.4, 60.0, 4000.0, 16),
+          EventDurationModel.fit(300.0, 2.0, 1.0, 1e5, 8)]
 MACHINE = {"total_nodes": 18688, "capability_cap_s": 86400}
 
 
@@ -60,15 +63,20 @@ def test_no_sample_ever_escapes_truncation(seed, n):
     assert np.all(x >= 120.0) and np.all(x <= 2400.0)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # the clipped-normal fit writes the normal pdf out instead, and both fits
-    # solve with the library's own Brent port; resolving runs both fits
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # the library carries its own Brent, ndtr and ndtri ports, so a fresh
+    # process that imports it, resolves (both fits) and runs loads no scipy
     src = Path(backfillsim.__file__).resolve().parent.parent
-    code = ("import sys, backfillsim; backfillsim.resolve_config({}); "
-            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    code = ("import sys, backfillsim\n"
+            "backfillsim.resolve_config({})\n"
+            "cfg = backfillsim.resolve_config({'scenario': 'broker_vs_pilot', "
+            "'compare': {'slots': 8}})\n"
+            f"backfillsim.run_scenario(cfg, base_dir={str(tmp_path)!r})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert result.stdout.strip() == "[]"
+    assert list(tmp_path.glob("**/broker_vs_pilot.csv"))
 
 
 def _root_or_error(solver, f, a, b, xtol):
@@ -97,6 +105,100 @@ def test_brentq_port_returns_scipys_bits(lo, ratio, position, sigma,
     a, b = io_lo - 12 * sd, io_hi + 12 * sd
     ours = _brentq(f, a, b, xtol=1e-9)
     assert type(ours) is float and ours == optimize.brentq(f, a, b, xtol=1e-9)
+
+
+# -- the normal CDF and quantile ports -------------------------------------------
+
+E2, E32 = math.exp(-2.0), math.exp(-32.0)  # where Cephes' ndtri changes tables
+
+
+def _steps(x: float, k: int) -> float:
+    """The float k representable steps from x (toward larger magnitude for k > 0)."""
+    return float(np.array(np.array(x).view(np.int64) + k).view(np.float64))
+
+
+def _same(ours: float, theirs: float) -> bool:
+    return type(ours) is float and (ours == theirs or (math.isnan(ours) and math.isnan(theirs)))
+
+
+# the ndtr branch split (|a| * sqrt(1/2) against sqrt(1/2)), erfc's switches
+# at 1 and 8 (a = sqrt(2), 8 sqrt(2)) and its underflow past MAXLOG
+NDTR_EDGES = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 7.09782712893383996843e2)]
+
+
+@given(st.one_of(st.floats(), st.floats(-40.0, 40.0),
+                 st.builds(lambda x, sign, k: sign * _steps(x, k), st.sampled_from(NDTR_EDGES),
+                           st.sampled_from([1.0, -1.0]), st.integers(-50, 50))))
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(0.0)
+@example(-0.0)
+@settings(max_examples=3000)
+def test_ndtr_erf_and_erfc_ports_return_scipys_bits(a):
+    assert _same(ndtr(a), float(special.ndtr(a)))
+    assert _same(_erf(a), float(special.erf(a)))
+    assert _same(_erfc(a), float(special.erfc(a)))
+
+
+@pytest.mark.parametrize("port, reference, args", [
+    (_erf, special.erf, np.linspace(-1.0, 1.0, 4001)),  # T, U
+    (_erfc, special.erfc, np.linspace(-8.0, 8.0, 4001)),  # P, Q
+    (_erfc, special.erfc, np.linspace(8.0, 26.6, 4001)),  # R, S
+    (_ndtri, special.ndtri, np.linspace(E2, 1.0 - E2, 4001)),  # P0, Q0
+    (_ndtri, special.ndtri, np.concatenate([np.geomspace(E32, E2, 4001),
+                                            1.0 - np.geomspace(1e-13, E2, 4001)])),  # P1, Q1
+    (_ndtri, special.ndtri, np.geomspace(5e-324, E32, 4001)),  # P2, Q2
+], ids=["erf-T-U", "erfc-P-Q", "erfc-R-S", "ndtri-P0-Q0", "ndtri-P1-Q1", "ndtri-P2-Q2"])
+def test_each_cephes_table_gives_scipys_bits_in_its_branch(port, reference, args):
+    # a mistyped digit in any coefficient moves some result over its branch
+    assert [port(x) for x in args.tolist()] == reference(args).tolist()
+
+
+@given(st.floats(E2, 1.0 - E2, exclude_min=True))
+@example(_steps(E2, 1))
+@example(1.0 - E2)
+@example(0.5)
+@settings(max_examples=500)
+def test_ndtri_is_exact_in_the_central_branch(y):
+    assert ndtri(np.array([y, 0.5])).tolist() == special.ndtri([y, 0.5]).tolist()
+
+
+@given(st.floats(0.0, 2e-14, exclude_min=True), st.booleans())
+@example(E32, False)
+@example(_steps(E32, -1), True)
+@example(5e-324, False)
+@settings(max_examples=500)
+def test_ndtri_is_exact_deep_in_the_tails(y, upper):
+    # below exp(-32) Cephes takes its second tail table; the port's scalar
+    # path takes libm's log there, as Cephes does
+    u = np.array([0.3, 1.0 - y if upper else y, 0.01])
+    assert ndtri(u).tolist() == special.ndtri(u).tolist()
+
+
+def test_ndtri_tails_stay_within_eight_ulp():
+    # numpy's vectorised log differs from libm's in the last bits; over 20M
+    # uniforms 1,263 tail draws differed, by at most 6 ulp (see CHANGES.md)
+    u = stream_rng(13, "ndtri-ulp").random(2_000_000)
+    ours, theirs = ndtri(u), special.ndtri(u)
+    ulp = np.abs(ours.view(np.int64) - theirs.view(np.int64))
+    central = (u > E2) & (u <= 1.0 - E2)
+    assert not ulp[central].any()
+    assert ulp.max() <= 8
+
+
+def test_ndtri_edges_and_bad_arguments_warn_nothing():
+    u = np.array([[0.0, 1.0, -0.0, -1e-300], [1.5, math.inf, -math.inf, math.nan],
+                  [1e300, 0.5, E2, 1.0 - E2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ndtri(u)
+        assert ndtr(math.nan) != ndtr(math.nan)
+        assert (ndtr(-math.inf), ndtr(math.inf)) == (0.0, 1.0)
+    assert got[0, :3].tolist() == [-math.inf, math.inf, -math.inf]
+    assert np.isnan(got[0, 3]) and np.isnan(got[1]).all() and np.isnan(got[2, 0])
+    assert np.array_equal(got, special.ndtri(u), equal_nan=True)
+    assert ndtri(np.array([])).shape == (0,)
 
 
 # -- contention ---------------------------------------------------------------
@@ -220,9 +322,10 @@ def test_deadline_cuts_only_rows_that_end_after_it(n_jobs, slots, waves, seed, p
 
 @pytest.mark.parametrize("slots", [8, 16])
 def test_deadline_keeps_a_row_that_ends_on_it_when_its_bound_rounds_up(slots):
-    # ten tasks of 0.1 s per slot end at 0.9999999999999999 s, while the
-    # bound before the first wave computes to 1.0: only the shrink keeps
-    # these rows
+    # ten tasks of 0.1 s per slot end at 0.9999999999999999 s; a bound of
+    # events * 0.1 / slots computes to 1.0, the pairwise sums of the cut and
+    # of the full-sum test to the makespan itself (the next test needs the
+    # shrink for those)
     spec = SimJobSpec(events=10 * slots, slots_per_node=slots)
     model = ConstantDurationModel(0.1)
     want = job_makespan(spec, model, stream_rng(0, "ulp"))
@@ -231,8 +334,43 @@ def test_deadline_keeps_a_row_that_ends_on_it_when_its_bound_rounds_up(slots):
     assert got.tolist() == [want] * 3
 
 
+def test_deadline_keeps_a_row_whose_summed_bound_rounds_up():
+    # eight tasks of 0.1 s per slot end at 0.7999999999999999 s, while the
+    # pairwise sum of 128 tasks (or of their table floors, the same here)
+    # over 16 slots computes to 0.8000000000000002: only the shrink keeps
+    # these rows, in the cut and in the full-sum test
+    spec = SimJobSpec(events=128, slots_per_node=16)
+    model = ConstantDurationModel(0.1)
+    want = job_makespan(spec, model, stream_rng(0, "ulp"))
+    assert want < 0.8
+    got = job_makespans_batch(3, spec, model, stream_rng(0, "ulp"), deadline=want)
+    assert got.tolist() == [want] * 3
+
+
+@given(seed=st.integers(0, 10_000), n_jobs=st.integers(1, 12),
+       events=st.sampled_from([8, 16, 40, 100]), slots=st.sampled_from([8, 16]),
+       row=st.integers(0, 11), step=st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_deadline_keeps_exactly_the_rows_the_full_sum_test_keeps(seed, n_jobs, events, slots,
+                                                                 row, step):
+    # on the payload model the table floors lie well below the tasks, so the
+    # cut passes rows near the deadline and the full-sum test decides them:
+    # deadlines a few floats either side of one row's full-sum bound
+    spec = SimJobSpec(events=events, slots_per_node=slots)
+    kwargs = dict(contention=WORKLOAD.contention, setup_s=WORKLOAD.setup_s)
+    makespans = job_makespans_batch(n_jobs, spec, MODEL, stream_rng(seed, "cut"), **kwargs)
+    u = MODEL.uniforms(n_jobs * events, stream_rng(seed, "cut")).reshape(n_jobs, events)
+    tasks = MODEL.transform(u) * WORKLOAD.contention.scale(slots, MODEL.calibrated_at)
+    shrink = 1.0 - 1e-12 - events * 2.0 ** -50
+    bounds = (WORKLOAD.setup_s + tasks.sum(axis=1) / slots) * shrink
+    deadline = _steps(float(bounds[row % n_jobs]), step)
+    got = job_makespans_batch(n_jobs, spec, MODEL, stream_rng(seed, "cut"), deadline=deadline,
+                              **kwargs)
+    assert got.tolist() == np.where(bounds <= deadline, makespans, np.inf).tolist()
+
+
 def test_transform_of_a_block_is_bit_exact():
-    # the deadline path transforms column blocks of alive rows only; each
+    # the deadline path transforms only the rows that pass its cut; any block
     # must carry the bits the whole-array transform gives those entries
     rng = stream_rng(6, "block")
     assert MODEL.sample(3000, rng).tolist() == \
@@ -244,18 +382,29 @@ def test_transform_of_a_block_is_bit_exact():
         assert MODEL.transform(u[rows, c0:c1]).tolist() == whole[rows, c0:c1].tolist()
 
 
-@pytest.mark.parametrize("model", [
-    MODEL, EventDurationModel.fit(840.0, 0.4, 60.0, 4000.0, 16),
-    EventDurationModel.fit(300.0, 2.0, 1.0, 1e5, 8)])
+@pytest.mark.parametrize("model", MODELS)
 def test_in_place_transform_keeps_the_bits_of_the_expression(model):
-    # the bits of clip(exp(mu + sigma * ndtri(u)), lo, hi) over the whole
-    # range of `uniforms` and at both ends of it
+    # the bits of clip(exp(mu + sigma * ndtri(u)), lo, hi), with the
+    # library's own ndtri, over the whole range of `uniforms` and at both ends
     u = model.uniforms(200_000, stream_rng(9, "in-place"))
     a, b = (ndtr((math.log(x) - model.mu) / model.sigma) for x in (model.lo, model.hi))
     u = np.concatenate([u, [a, b, np.nextafter(a, 1), np.nextafter(b, 0)]]).reshape(-1, 4)
     expected = np.clip(np.exp(model.mu + model.sigma * ndtri(u)), model.lo, model.hi)
     assert model.transform(u).tolist() == expected.tolist()
     assert model.transform(u[7:9, 1:3]).tolist() == expected[7:9, 1:3].tolist()
+
+
+@pytest.mark.parametrize("model", MODELS + [ConstantDurationModel(0.1),
+                                            SmallIntegerDurationModel()])
+def test_quantile_floor_never_exceeds_transform(model):
+    # the deadline cut's per-uniform lower bound, at every grid point, at
+    # both float neighbours of each, and at random uniforms
+    floor = _quantile_floor(model)
+    grid = np.arange(_GRID + 1) / _GRID
+    u = np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0),
+                        stream_rng(12, "floor").random(200_000),
+                        model.uniforms(200_000, stream_rng(12, "floor-model"))])
+    assert np.all(floor[(u * _GRID).astype(np.intp)] <= model.transform(u))
 
 
 @pytest.mark.parametrize("first, second", [(300, 300), (15, 1)])
