@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from heapq import heapify, heapreplace
-from itertools import repeat
-from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -91,9 +89,9 @@ class AgentTimeline:
     Times are float seconds relative to the pilot's start. The agent
     becomes ready after bootstrap; each unit reaches the agent through a
     serial dispatch channel and starts on its node after the launch
-    latency. Execution past `walltime` is cut off at teardown; `units_cut`
-    counts the recorded units it cut. A fresh timeline places its first
-    generation in one numpy step where that is exact (see `add_units`).
+    latency. Execution past `walltime` is cut off at teardown. Started
+    units are kept as node, start and end arrays, one set per `add_units`
+    call, and counted in `units_started` and `units_cut`.
     """
 
     def __init__(self, nodes: int, walltime: float, overheads: OverheadModel):
@@ -101,11 +99,21 @@ class AgentTimeline:
         self.overheads = overheads
         self.ready_at = overheads.bootstrap_s
         self._dispatch_cursor = self.ready_at
-        # a heap of (free at, node); sorted, as every node is free at ready_at
-        self._free: list[tuple[float, int]] = [(self.ready_at, i) for i in range(nodes)]
-        self._fresh = True  # no unit handed over yet
-        self.units: list[Unit] = []
-        self.units_cut = 0
+        self._free_at = np.full(nodes, self.ready_at, dtype=float)  # by node
+        self._started = [(np.empty(0, dtype=int), np.empty(0), np.empty(0))]
+        self.units_started = self.units_cut = 0
+        self._last_end = self.ready_at  # durations are non-negative
+
+    @property
+    def units(self) -> list[Unit]:
+        """Every started unit in start order; a cut one ends at `walltime`."""
+        w = self.walltime
+        return [Unit(node, start, end, DONE) if end <= w else Unit(node, start, w, INCOMPLETE)
+                for node, start, end in zip(*(c.tolist() for c in self._columns()))]
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """Node, start and uncut end of every started unit, in start order."""
+        return tuple(np.concatenate(c) for c in zip(*self._started))
 
     def next_start(self) -> float:
         """When the next unit handed to `add_units` would start, whatever
@@ -113,34 +121,30 @@ class AgentTimeline:
         free, plus the launch latency. It never decreases, so once it
         reaches the walltime no later unit can start."""
         o = self.overheads
-        return (max(self._free[0][0], self._dispatch_cursor + o.dispatch_per_unit_s)
+        return (max(float(self._free_at.min()), self._dispatch_cursor + o.dispatch_per_unit_s)
                 + o.launch_per_unit_s)
 
     def add_units(self, durations: np.ndarray | list[float]) -> None:
-        """Hand units of these durations to the agent, in order. Each unit
-        that starts is recorded in `units` with its outcome, settled as it
-        starts; `units_cut` counts those cut at the walltime. A unit that
+        """Hand units of these durations to the agent, in order. A unit that
         cannot start before the walltime leaves no record, but still takes
         its turn on the dispatch channel.
 
-        The first call on a fresh timeline places its first
-        min(len(durations), nodes) units in one numpy step: every node is
-        free at `ready_at`, so unit i goes to node i, as the per-unit loop
-        would put it, provided each unit placed ends strictly after
-        `ready_at` (a unit ending on it would free its node for the next
-        unit first). Otherwise, and for every later unit, the loop places
-        them one at a time. Both give the same records, bit for bit."""
+        The first k = min(len(durations), nodes) units go in one numpy step:
+        unit j to the j-th node in (free at, node) order. The per-unit heap
+        loop puts it there too if every placed unit ends strictly after the
+        free time of the last node placed on, and, when some of the k do not
+        start, too late for the first of those to start on its node.
+        Otherwise, and after the k-th unit, the loop places them one at a
+        time; both give the same records, bit for bit."""
         durations = np.asarray(durations, dtype=float)
-        cursor = self._dispatch_cursor
-        placed = 0
-        if self._fresh:
-            self._fresh = False
-            placed, cursor = self._place_first_generation(durations)
-        # the loop computes next_start() on locals, one unit at a time
-        free, walltime, append, new = self._free, self.walltime, self.units.append, tuple.__new__
+        placed = self._place_in_bulk(durations)
+        if placed == len(durations):
+            return
+        free = list(zip(self._free_at.tolist(), range(len(self._free_at))))
+        heapify(free)
+        cursor, walltime, started = self._dispatch_cursor, self.walltime, []
         dispatch = self.overheads.dispatch_per_unit_s
         launch = self.overheads.launch_per_unit_s
-        cut = 0
         for duration in durations[placed:].tolist():
             cursor += dispatch
             at, node = free[0]
@@ -149,45 +153,45 @@ class AgentTimeline:
                 continue  # queued behind the walltime horizon
             end = start + duration
             heapreplace(free, (end, node))
-            if end <= walltime:
-                append(new(Unit, (node, start, end, DONE)))
-            else:
-                append(new(Unit, (node, start, walltime, INCOMPLETE)))
-                cut += 1
+            started.append((node, start, end))
         self._dispatch_cursor = cursor
-        self.units_cut += cut
+        self._free_at[[node for _, node in free]] = [at for at, _ in free]
+        if started:
+            self._record(*map(np.array, zip(*started)))
 
-    def _place_first_generation(self, durations: np.ndarray) -> tuple[int, float]:
-        """Place the first units of a fresh timeline on nodes 0, 1, ... in
-        one step; returns how many units it handled and the dispatch cursor
-        after them, or (0, the cursor) when the step would not be exact."""
-        k = min(len(durations), len(self._free))
-        if k == 0:
-            return 0, self._dispatch_cursor
+    def _place_in_bulk(self, durations: np.ndarray) -> int:
+        """Place the first k units in one step; returns k, or 0 if not exact."""
+        k = min(len(durations), len(self._free_at))
+        o, walltime = self.overheads, self.walltime
+        order = np.argsort(self._free_at, kind="stable")[:k]  # ties by node, as tuples
+        at = self._free_at[order]
         # the same sequential float sum as the loop's `cursor += dispatch`
-        cursors = np.full(k + 1, self.overheads.dispatch_per_unit_s, dtype=float)
+        cursors = np.full(k + 1, o.dispatch_per_unit_s)
         cursors[0] = self._dispatch_cursor
         np.add.accumulate(cursors, out=cursors)
-        starts = np.maximum(cursors[1:], self.ready_at) + self.overheads.launch_per_unit_s
-        started = int(np.searchsorted(starts, self.walltime))  # starts never decrease
+        starts = np.maximum(cursors[1:], at) + o.launch_per_unit_s
+        started = int(np.searchsorted(starts, walltime))  # starts never decrease
         ends = starts[:started] + durations[:started]
-        if not (ends > self.ready_at).all():
-            return 0, self._dispatch_cursor
-        self._free[:started] = zip(ends.tolist(), range(started))
-        heapify(self._free)
-        cut = ends > self.walltime
-        self.units_cut += int(np.count_nonzero(cut))
-        self.units.extend(map(tuple.__new__, repeat(Unit), zip(
-            range(started), starts[:started].tolist(),
-            np.minimum(ends, self.walltime).tolist(),
-            map((DONE, INCOMPLETE).__getitem__, cut.tolist()))))
-        return k, float(cursors[-1])
+        if started:
+            first_end = ends.min()
+            if not (first_end > at[started - 1] and (started == k or max(
+                    cursors[started + 1], first_end) + o.launch_per_unit_s >= walltime)):
+                return 0
+            self._free_at[order[:started]] = ends
+            self._record(order[:started], starts[:started], ends)
+        self._dispatch_cursor = float(cursors[-1])
+        return k
+
+    def _record(self, nodes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
+        self._started.append((nodes, starts, ends))
+        self.units_started += len(ends)
+        self.units_cut += int(np.count_nonzero(ends > self.walltime))
+        self._last_end = max(self._last_end, float(ends.max()))
 
     def finalize(self) -> float:
         """The pilot's effective duration: until its last unit ends, or the
         walltime if a unit was cut; the bootstrap if no unit started."""
-        return min(max(map(attrgetter("end"), self.units), default=self.ready_at),
-                   self.walltime)
+        return min(self._last_end, self.walltime)
 
 
 @dataclass
@@ -211,18 +215,14 @@ def run_pilot(nodes: int, walltime: int, durations: list[float],
     timeline = AgentTimeline(nodes, walltime, overheads)
     timeline.add_units(durations)
     duration = timeline.finalize()
-    busy = np.zeros(nodes)
-    generations = dict.fromkeys(range(nodes), 0)
-    task_durations = []
-    # no unit starts on a node after its cut unit, so each node adds its cut unit last
-    for u in timeline.units:
-        busy[u.node] += u.end - u.start
-        if u.state == DONE:
-            generations[u.node] += 1
-            task_durations.append(u.end - u.start)
-    mean_task = float(np.mean(task_durations)) if task_durations else 0.0
-    return PilotReport(duration_s=float(duration), mean_task_s=mean_task,
+    node, start, end = timeline._columns()
+    done = end <= timeline.walltime
+    span = np.minimum(end, timeline.walltime) - start
+    busy = np.bincount(node, weights=span, minlength=nodes)  # per node, in unit order
+    tasks = span[done]
+    return PilotReport(duration_s=float(duration),
+                       mean_task_s=float(tasks.mean()) if len(tasks) else 0.0,
                        overhead_s=float(duration) - float(busy.mean()),
-                       units_done=len(task_durations),
-                       units_incomplete=timeline.units_cut,
-                       generations_per_node=generations)
+                       units_done=len(tasks), units_incomplete=timeline.units_cut,
+                       generations_per_node=dict(enumerate(
+                           np.bincount(node[done], minlength=nodes).tolist())))

@@ -269,12 +269,16 @@ def synthetic_slots(cfg: ScenarioConfig) -> list[tuple[int, int, int]]:
     c = cfg.compare
     rng = stream_rng(cfg.seed, "compare-slots")
     total = cfg.cluster.total_nodes
+    mu_n = math.log(c.slot_nodes_mean) - 0.5 * c.slot_nodes_sigma ** 2
+    mu_w = math.log(c.slot_walltime_mean_s) - 0.5 * c.slot_walltime_sigma ** 2
     slots = []
+    # lognormal(mu, sigma) is exp(mu + sigma * standard_normal()), its bits
+    # and stream, at a fraction of the scalar method call's cost
     for i in range(c.slots):
-        mu_n = math.log(c.slot_nodes_mean) - 0.5 * c.slot_nodes_sigma ** 2
-        nodes = int(np.clip(rng.lognormal(mu_n, c.slot_nodes_sigma), 1, total))
-        mu_w = math.log(c.slot_walltime_mean_s) - 0.5 * c.slot_walltime_sigma ** 2
-        walltime = int(np.clip(rng.lognormal(mu_w, c.slot_walltime_sigma), 60, 86400))
+        nodes = int(min(max(math.exp(mu_n + c.slot_nodes_sigma * rng.standard_normal()), 1),
+                        total))
+        walltime = int(min(max(math.exp(mu_w + c.slot_walltime_sigma
+                                        * rng.standard_normal()), 60), 86400))
         slots.append((i * c.slot_interval_s, nodes, walltime))
     return slots
 
@@ -301,7 +305,10 @@ def consume_slot_pilot(nodes: int, walltime: int, first: np.ndarray,
     end within it (`job_makespans_batch`'s `deadline`). Such a unit is
     recorded as incomplete with end `walltime`, as its exact duration would
     be: it starts no earlier than `next_start` and ends past the walltime.
-    No later unit starts on its node, and no other record changes."""
+    No later unit starts on its node, and no other record changes. Each
+    generation is one `add_units` call, which places it in one numpy step
+    wherever that is exact (an all-+inf generation always), and the units
+    done come from the timeline's counts, not from its unit records."""
     timeline = AgentTimeline(nodes, walltime, overheads)
     durations = first
     while True:
@@ -311,7 +318,7 @@ def consume_slot_pilot(nodes: int, walltime: int, first: np.ndarray,
             break
         durations = draw(walltime - start)
     timeline.finalize()
-    return nodes * cores * walltime / 3600.0, len(timeline.units) - timeline.units_cut
+    return nodes * cores * walltime / 3600.0, timeline.units_started - timeline.units_cut
 
 
 def run_broker_vs_pilot(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:

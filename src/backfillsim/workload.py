@@ -265,15 +265,16 @@ def ndtri(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     u = np.ascontiguousarray(u, dtype=float)
     flat = u.reshape(-1)
     y2, num, den, tail_y = _work(4, flat.size)
-    tail = np.flatnonzero((flat <= _EXP_M2) | (flat > _ONE_MINUS_EXP_M2))
-    m = len(tail)
-    y = np.take(flat, tail, out=tail_y[:m])
-    up = y > _ONE_MINUS_EXP_M2
-    np.subtract(1.0, y, out=y, where=up)
+    lower = np.flatnonzero(flat <= _EXP_M2)
+    upper = np.flatnonzero(flat > _ONE_MINUS_EXP_M2)
+    low, m = len(lower), len(lower) + len(upper)
+    y = tail_y[:m]  # the lower tail, then the upper tail's 1 - u
+    np.take(flat, lower, out=y[:low])
+    np.subtract(1.0, np.take(flat, upper, out=y[low:]), out=y[low:])
     odd = None
     if m and not y.min() >= _NDTRI_DEEP:
         bad = ~(y >= _NDTRI_DEEP)
-        odd = tail[bad]
+        odd = np.concatenate((lower, upper))[bad]
         odd_u = flat[odd].tolist()
         y[bad] = 0.5  # a value on which no step below warns
         flat = flat.copy()
@@ -305,8 +306,9 @@ def ndtri(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     p *= r
     p /= q
     y -= p
-    np.negative(y, out=y, where=~up)
-    x[tail] = y
+    np.negative(y[:low], out=y[:low])
+    x[lower] = y[:low]
+    x[upper] = y[low:]
     if odd is not None:
         x[odd] = [_ndtri(v) for v in odd_u]
     return out
@@ -363,11 +365,15 @@ class EventDurationModel:
         """Inverse-CDF sampling in log space; every draw lies in [lo, hi]."""
         return self.transform(self.uniforms(n, rng))
 
+    @functools.cached_property
+    def _cdf_range(self) -> tuple[float, float]:
+        """The untruncated CDF at lo and at hi, computed once per model."""
+        return (ndtr((math.log(self.lo) - self.mu) / self.sigma),
+                ndtr((math.log(self.hi) - self.mu) / self.sigma))
+
     def uniforms(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """The random half of `sample`: n uniforms on the truncated CDF's range."""
-        a = ndtr((math.log(self.lo) - self.mu) / self.sigma)
-        b = ndtr((math.log(self.hi) - self.mu) / self.sigma)
-        return rng.uniform(a, b, size=n)
+        return rng.uniform(*self._cdf_range, size=n)
 
     def transform(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The deterministic half of `sample`, element by element, so any

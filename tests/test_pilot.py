@@ -124,6 +124,11 @@ overhead_seconds = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
        overhead_seconds, st.floats(0.5, 400.0))
 @example(3, [0.0] * 5, [], 0.0, 0.0, 0.0, 10.0)  # units ending at ready_at free their node
 @example(4, [50.0] * 6, [2], 5.0, 1.0, 0.5, 7.5)  # cut at the walltime in the first generation
+# a finite generation with one unit cut, then an all-+inf one in its own call
+@example(3, [5.0, 20.0, 7.0, math.inf, math.inf, math.inf], [3], 0.0, 0.0, 0.0, 10.0)
+# in the second call a unit ends (at 1) before the next node comes free (at 2.5),
+# so the loop starts the next unit on that node, not on the node the bulk step has next
+@example(2, [0.0, 2.5, 1.0, 0.0], [2], 0.0, 0.0, 0.0, 2.0)
 @settings(max_examples=300)
 def test_timeline_matches_the_per_unit_oracle(nodes, durations, cuts, bootstrap, dispatch,
                                               launch, walltime):
