@@ -11,8 +11,8 @@ latency on the node. Times are float seconds from the pilot's start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
-from heapq import heapify, heapreplace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -39,6 +39,10 @@ class OverheadModel:
 _QUEUES = {"capability": CAPABILITY, "backfill": BACKFILL}
 
 
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class PilotConfig(OverheadModel):
     """The `pilot` config section: the agent's overheads plus the shape of
@@ -54,16 +58,23 @@ class PilotConfig(OverheadModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.walltime_s <= 0:
+        if not self.walltime_s > 0:
             raise ValueError(f"walltime_s must be positive, got {self.walltime_s}")
         if not self.unit_mean_s > 0:
             raise ValueError(f"unit_mean_s must be > 0, got {self.unit_mean_s}")
         if not self.unit_sd_s >= 0:
             raise ValueError(f"unit_sd_s must be >= 0, got {self.unit_sd_s}")
+        if math.inf in (self.unit_mean_s, self.unit_sd_s):  # both inf draw NaN units
+            raise ValueError(f"unit_mean_s and unit_sd_s must be finite, got "
+                             f"{self.unit_mean_s} and {self.unit_sd_s}")
+        if not _is_count(self.units_per_node, 0):
+            raise ValueError(f"units_per_node must be an integer >= 0, got {self.units_per_node!r}")
+        if not (self.units_total is None or _is_count(self.units_total, 0)):
+            raise ValueError(f"units_total must be an integer >= 0, got {self.units_total!r}")
         if not self.nodes_list:
             raise ValueError("nodes_list must list at least one pilot size")
-        if any(n < 1 for n in self.nodes_list):
-            raise ValueError("nodes_list entries must be >= 1")
+        if not all(_is_count(n, 1) for n in self.nodes_list):
+            raise ValueError(f"nodes_list entries must be integers >= 1, got {self.nodes_list!r}")
         object.__setattr__(self, "nodes_list", tuple(self.nodes_list))
         if self.queue not in _QUEUES:
             raise ValueError(f"queue must be one of {tuple(_QUEUES)}, got {self.queue!r}")
@@ -90,8 +101,8 @@ class AgentTimeline:
     becomes ready after bootstrap; each unit reaches the agent through a
     serial dispatch channel and starts on its node after the launch
     latency. Execution past `walltime` is cut off at teardown. Started
-    units are kept as node, start and end arrays, one set per `add_units`
-    call, and counted in `units_started` and `units_cut`.
+    units are kept as node, start and end arrays, one set per numpy step
+    of `add_units`, and counted in `units_started` and `units_cut`.
     """
 
     def __init__(self, nodes: int, walltime: float, overheads: OverheadModel):
@@ -129,58 +140,37 @@ class AgentTimeline:
         cannot start before the walltime leaves no record, but still takes
         its turn on the dispatch channel.
 
-        The first k = min(len(durations), nodes) units go in one numpy step:
-        unit j to the j-th node in (free at, node) order. The per-unit heap
-        loop puts it there too if every placed unit ends strictly after the
-        free time of the last node placed on, and, when some of the k do not
-        start, too late for the first of those to start on its node.
-        Otherwise, and after the k-th unit, the loop places them one at a
-        time; both give the same records, bit for bit."""
+        Each unit goes to the first node to come free, ties to the lower
+        node. One numpy step sends the next units to the nodes in (free at,
+        node) order, unit j to the j-th, and keeps the longest prefix in
+        which every end placed earlier in the step is strictly later than
+        the free time of the next unit's node: there a unit-by-unit heap
+        puts each of them too, bit for bit. The first unit of a step always
+        qualifies; the next step sorts the nodes again."""
         durations = np.asarray(durations, dtype=float)
-        placed = self._place_in_bulk(durations)
-        if placed == len(durations):
-            return
-        free = list(zip(self._free_at.tolist(), range(len(self._free_at))))
-        heapify(free)
-        cursor, walltime, started = self._dispatch_cursor, self.walltime, []
-        dispatch = self.overheads.dispatch_per_unit_s
-        launch = self.overheads.launch_per_unit_s
-        for duration in durations[placed:].tolist():
-            cursor += dispatch
-            at, node = free[0]
-            start = (cursor if cursor > at else at) + launch
-            if start >= walltime:
-                continue  # queued behind the walltime horizon
-            end = start + duration
-            heapreplace(free, (end, node))
-            started.append((node, start, end))
-        self._dispatch_cursor = cursor
-        self._free_at[[node for _, node in free]] = [at for at, _ in free]
-        if started:
-            self._record(*map(np.array, zip(*started)))
-
-    def _place_in_bulk(self, durations: np.ndarray) -> int:
-        """Place the first k units in one step; returns k, or 0 if not exact."""
-        k = min(len(durations), len(self._free_at))
-        o, walltime = self.overheads, self.walltime
-        order = np.argsort(self._free_at, kind="stable")[:k]  # ties by node, as tuples
-        at = self._free_at[order]
-        # the same sequential float sum as the loop's `cursor += dispatch`
-        cursors = np.full(k + 1, o.dispatch_per_unit_s)
+        n, launch, walltime = len(durations), self.overheads.launch_per_unit_s, self.walltime
+        # dispatch times: the same sequential float sum as `cursor += dispatch` per unit
+        cursors = np.full(n + 1, self.overheads.dispatch_per_unit_s)
         cursors[0] = self._dispatch_cursor
         np.add.accumulate(cursors, out=cursors)
-        starts = np.maximum(cursors[1:], at) + o.launch_per_unit_s
-        started = int(np.searchsorted(starts, walltime))  # starts never decrease
-        ends = starts[:started] + durations[:started]
-        if started:
-            first_end = ends.min()
-            if not (first_end > at[started - 1] and (started == k or max(
-                    cursors[started + 1], first_end) + o.launch_per_unit_s >= walltime)):
-                return 0
-            self._free_at[order[:started]] = ends
-            self._record(order[:started], starts[:started], ends)
         self._dispatch_cursor = float(cursors[-1])
-        return k
+        i = 0
+        # until the next unit's start, as in `next_start`, reaches the walltime
+        while i < n and max(cursors[i + 1], self._free_at.min()) + launch < walltime:
+            order = np.argsort(self._free_at, kind="stable")[:n - i]  # ties by node
+            at = self._free_at[order]
+            starts = np.maximum(cursors[i + 1:i + 1 + len(order)], at) + launch
+            k = int(np.searchsorted(starts, walltime))  # starts never decrease
+            ends = starts[:k] + durations[i:i + k]
+            # one comparison settles the usual step, in which every unit qualifies
+            if not ends[:-1].min(initial=np.inf) > at[k - 1]:
+                # the running minimum of the ends never rises and `at` never
+                # falls, so the units that qualify form a prefix
+                k = 1 + int(np.count_nonzero(np.minimum.accumulate(ends[:-1]) > at[1:k]))
+                ends = ends[:k]
+            self._free_at[order[:k]] = ends
+            self._record(order[:k], starts[:k], ends)
+            i += k
 
     def _record(self, nodes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
         self._started.append((nodes, starts, ends))

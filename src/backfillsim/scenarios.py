@@ -306,9 +306,9 @@ def consume_slot_pilot(nodes: int, walltime: int, first: np.ndarray,
     recorded as incomplete with end `walltime`, as its exact duration would
     be: it starts no earlier than `next_start` and ends past the walltime.
     No later unit starts on its node, and no other record changes. Each
-    generation is one `add_units` call, which places it in one numpy step
-    wherever that is exact (an all-+inf generation always), and the units
-    done come from the timeline's counts, not from its unit records."""
+    generation is one `add_units` call, which usually places it in one
+    numpy step, and the units done come from the timeline's counts, not
+    from its unit records."""
     timeline = AgentTimeline(nodes, walltime, overheads)
     durations = first
     while True:

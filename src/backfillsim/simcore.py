@@ -24,10 +24,6 @@ import numpy as np
 SimTime = int  # simulated seconds since epoch 0
 Arrival = tuple[SimTime, str, Callable[[], None]]  # (fire_at, kind, callback)
 
-# the i-th fed arrival is traced with seq FED_SEQ_BASE + i, below every
-# scheduled seq, so a trace stays sorted by (fire_at, seq)
-FED_SEQ_BASE = -2 ** 62
-
 
 class CausalityError(Exception):
     """An event was scheduled, or an arrival fed, in the past; this is a logic
@@ -67,17 +63,14 @@ class Simulation:
     arrival had been scheduled before any other event.
     """
 
-    def __init__(self, seed: int = 0, record_trace: bool = False):
+    def __init__(self, seed: int = 0):
         self.seed = seed
         self.now: SimTime = 0
         self._queue: list[tuple[SimTime, int, SimEvent]] = []
         self._seq = 0
         self._feed: Iterator[Arrival] = iter(())
         self._fed: Optional[Arrival] = None  # the next arrival, pulled but not fired
-        self._fed_count = 0
         self._streams: dict[str, np.random.Generator] = {}
-        self.record_trace = record_trace
-        self.trace: list[tuple[SimTime, int, str]] = []
 
     # -- randomness ---------------------------------------------------------
 
@@ -148,17 +141,12 @@ class Simulation:
             if fed is not None and fed[0] <= limit and not (queue and queue[0][0] < fed[0]):
                 self.now = fed[0]
                 self._pull()
-                if self.record_trace:
-                    self.trace.append((fed[0], FED_SEQ_BASE + self._fed_count, fed[1]))
-                self._fed_count += 1
                 fed[2]()
             elif queue and queue[0][0] <= limit:
                 ev = heapq.heappop(queue)[2]
                 if ev.cancelled:
                     continue
                 self.now = ev.fire_at
-                if self.record_trace:
-                    self.trace.append((ev.fire_at, ev.seq, ev.kind))
                 if ev.callback is not None:
                     ev.callback()
             else:

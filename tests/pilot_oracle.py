@@ -1,8 +1,8 @@
 """Per-unit reference for the pilot agent timeline.
 
 `OracleTimeline` places every unit with one heap step, first-free node
-first, as `AgentTimeline` did before it placed a fresh pilot's first
-generation in bulk; `AgentTimeline` must agree with it record for record.
+first, ties to the lower node; `AgentTimeline`, which places runs of
+units in numpy steps, must agree with it record for record.
 """
 
 from __future__ import annotations

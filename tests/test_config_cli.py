@@ -267,6 +267,16 @@ BAD_INPUTS = [
     ({"pilot": {"unit_mean_s": 0}}, "pilot: unit_mean_s must be > 0, got 0"),
     ({"pilot": {"unit_mean_s": -100}}, "pilot: unit_mean_s must be > 0, got -100"),
     ({"pilot": {"nodes_list": []}}, "pilot: nodes_list must list at least one pilot size"),
+    ({"pilot": {"nodes_list": [1.5]}}, "pilot: nodes_list entries must be integers >= 1"),
+    ({"pilot": {"units_per_node": -1}}, "pilot: units_per_node must be an integer >= 0, got -1"),
+    ({"pilot": {"units_per_node": 1.5}},
+     "pilot: units_per_node must be an integer >= 0, got 1.5"),
+    ({"pilot": {"units_total": -5}}, "pilot: units_total must be an integer >= 0, got -5"),
+    ({"pilot": {"walltime_s": math.nan}}, "pilot: walltime_s must be positive, got nan"),
+    ({"pilot": {"unit_mean_s": math.inf}},
+     "pilot: unit_mean_s and unit_sd_s must be finite, got inf and 19.0"),
+    ({"pilot": {"unit_sd_s": math.inf}},
+     "pilot: unit_mean_s and unit_sd_s must be finite, got 4650.0 and inf"),
     ({"broker": {"min_nodes_per_bundle": 0}}, "broker: min_nodes_per_bundle must be >= 1, got 0"),
     ({"broker": {"job_limit": -5}}, "broker: job_limit must be >= 0, got -5"),
     ({"broker": {"stage_in_base_s": -1}}, "broker: stage_in_base_s must be >= 0, got -1"),
@@ -375,6 +385,22 @@ def test_payload_config_that_validates_also_runs(edits):
             raw[section].update(zip(keys, reversed(old.values())))
         else:
             raw[section][keys[0]] = value
+    _validates_then_runs(raw)
+
+
+# the keys that size the units of the pilot-scaling scenarios
+PILOT_KEYS = ["unit_mean_s", "unit_sd_s", "walltime_s", "units_per_node", "units_total"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(PILOT_KEYS),
+                          st.sampled_from([0, -1, 1, 1.5, math.inf, math.nan])), max_size=3))
+@settings(max_examples=200)
+def test_pilot_config_that_validates_also_runs(edits):
+    # multi_generation on 4- and 8-node pilots with up to three `pilot` keys
+    # set to 0, -1, 1, 1.5, inf or NaN; unedited, five units per node
+    raw = {"scenario": "multi_generation", "pilot": {"nodes_list": [4, 8]}}
+    for key, value in edits:
+        raw["pilot"][key] = value
     _validates_then_runs(raw)
 
 

@@ -149,6 +149,22 @@ def test_timeline_matches_the_per_unit_oracle(nodes, durations, cuts, bootstrap,
         assert timeline.finalize() == oracle.finalize()
 
 
+def test_many_step_placement_matches_the_per_unit_oracle():
+    # a spread ten times the mean frees the nodes out of order, so one call
+    # takes 169 numpy steps, more than the property above reaches; 534 of
+    # the 640 units start and 64 of those are cut at the walltime
+    durations = UnitDurationModel(mean_s=100.0, sd_s=1000.0).sample(
+        640, np.random.default_rng(3)).tolist()
+    oracle = OracleTimeline(64, 3600, OverheadModel())
+    oracle.add_units(durations)
+    timeline = AgentTimeline(64, 3600, OverheadModel())
+    timeline.add_units(durations)
+    assert (timeline.units_started, timeline.units_cut) == (534, 64)
+    assert timeline.units == oracle.units
+    assert timeline.next_start() == oracle.next_start()
+    assert timeline.finalize() == oracle.finalize()
+
+
 def test_walltime_expiry_cuts_running_units():
     rep = run_pilot(2, 1000, constant_units(4, 600.0), ZERO)
     assert rep.units_done == 2

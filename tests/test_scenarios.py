@@ -202,7 +202,8 @@ def test_two_day_efficiency_reproduces_its_golden_under_strict_checks(tmp_path,
     assert (tmp_path / "out" / "eff2d" / "manifest.json").read_bytes() == golden.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["weak_scaling", "broker_vs_pilot", "replay_efficiency"])
+@pytest.mark.parametrize("name", ["weak_scaling", "multi_generation", "strong_scaling",
+                                  "broker_vs_pilot", "replay_efficiency"])
 def test_fast_goldens_reproduce_their_manifests(tmp_path, monkeypatch, name):
     monkeypatch.chdir(ROOT)  # the replay trace path is relative to the repo root
     run_scenario(load_scenario_file(ROOT / "configs" / f"{name}.yaml"), base_dir=tmp_path)
@@ -359,11 +360,18 @@ def test_swf_background_in_file_order_runs_as_its_stably_sorted_copy(tmp_path):
 
 def test_background_arrivals_are_fed_not_scheduled():
     tree = ScenarioConfig.from_dict(resolve_config({"scenario": "efficiency"}))
-    sim = Simulation(seed=1, record_trace=True)
+    sim = Simulation(seed=1)
     cluster = EasyBackfillScheduler(sim, tree.cluster)
+    submit, arrivals = cluster.submit, []
+
+    def recording_submit(job):
+        arrivals.append(sim.now)
+        return submit(job)
+
+    cluster.submit = recording_submit
     scenarios._feed_background(sim, cluster, tree.background, 86400)
     assert sim._queue == [] and cluster.queue == []
     sim.run_until(3600)
-    arrivals = [t for t, _, kind in sim.trace if kind == "capability_arrival"]
     assert len(arrivals) == cluster._submit_counter > 0
+    assert arrivals == sorted(arrivals)  # in submit order
     assert all(ev.kind != "capability_arrival" for _, _, ev in sim._queue)

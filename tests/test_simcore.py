@@ -71,17 +71,19 @@ def test_cancelled_events_do_not_fire():
 
 def test_trace_identical_across_replays():
     def build(seed):
-        sim = Simulation(seed=seed, record_trace=True)
+        sim = Simulation(seed=seed)
         rng = sim.rng("entity")
+        fired = []
 
         def tick():
+            fired.append((sim.now, "tick"))
             delay = int(rng.integers(1, 10))
             if sim.now < 200:
                 sim.schedule_in(delay, "tick", tick)
 
         sim.schedule(0, "tick", tick)
         sim.run_until(500)
-        return sim.trace
+        return fired
 
     assert build(42) == build(42)
     assert build(42) != build(43)
@@ -170,12 +172,14 @@ def test_feed_is_pulled_one_arrival_at_a_time():
 
 
 def test_trace_records_fed_arrivals_in_firing_order():
-    sim = Simulation(record_trace=True)
-    sim.schedule(5, "event", lambda: None)
-    sim.feed([(0, "arrival", lambda: None), (5, "arrival", lambda: None)])
+    sim = Simulation()
+    fired = []
+
+    def record(kind):
+        return lambda: fired.append((sim.now, kind))
+
+    sim.schedule(5, "event", record("event"))
+    sim.feed([(0, "arrival", record("arrival")), (5, "arrival", record("arrival"))])
     sim.run()
-    assert [(t, kind) for t, _, kind in sim.trace] == [(0, "arrival"), (5, "arrival"),
-                                                      (5, "event")]
-    # fed arrivals carry seqs below every scheduled one, so the trace is sorted
-    assert sorted(sim.trace) == sim.trace
-    assert sim.trace[2][1] == 0
+    # at an equal time the fed arrival fires before the event scheduled first
+    assert fired == [(0, "arrival"), (5, "arrival"), (5, "event")]
