@@ -110,7 +110,12 @@ class AgentTimeline:
         self.overheads = overheads
         self.ready_at = overheads.bootstrap_s
         self._dispatch_cursor = self.ready_at
-        self._free_at = np.full(nodes, self.ready_at, dtype=float)  # by node
+        # the nodes in (free at, node) order, and when each comes free; the
+        # first `_placed` of them, placed by the last step, go back into that
+        # order when the next step needs it
+        self._order = np.arange(nodes)
+        self._free = np.full(nodes, self.ready_at, dtype=float)
+        self._placed = 0
         self._started = [(np.empty(0, dtype=int), np.empty(0), np.empty(0))]
         self.units_started = self.units_cut = 0
         self._last_end = self.ready_at  # durations are non-negative
@@ -132,8 +137,13 @@ class AgentTimeline:
         free, plus the launch latency. It never decreases, so once it
         reaches the walltime no later unit can start."""
         o = self.overheads
-        return (max(float(self._free_at.min()), self._dispatch_cursor + o.dispatch_per_unit_s)
+        return (max(self._first_free(), self._dispatch_cursor + o.dispatch_per_unit_s)
                 + o.launch_per_unit_s)
+
+    def _first_free(self) -> float:
+        """When the first node comes free: the nodes the last step placed
+        are not merged back yet, but every other one waits in order."""
+        return float(self._free[:self._placed + 1].min())
 
     def add_units(self, durations: np.ndarray | list[float]) -> None:
         """Hand units of these durations to the agent, in order. A unit that
@@ -146,7 +156,9 @@ class AgentTimeline:
         which every end placed earlier in the step is strictly later than
         the free time of the next unit's node: there a unit-by-unit heap
         puts each of them too, bit for bit. The first unit of a step always
-        qualifies; the next step sorts the nodes again."""
+        qualifies. The nodes stay in that order between steps: the ones a
+        step placed go back into it by a merge before the next step, not by
+        sorting every node."""
         durations = np.asarray(durations, dtype=float)
         n, launch, walltime = len(durations), self.overheads.launch_per_unit_s, self.walltime
         # dispatch times: the same sequential float sum as `cursor += dispatch` per unit
@@ -156,10 +168,10 @@ class AgentTimeline:
         self._dispatch_cursor = float(cursors[-1])
         i = 0
         # until the next unit's start, as in `next_start`, reaches the walltime
-        while i < n and max(cursors[i + 1], self._free_at.min()) + launch < walltime:
-            order = np.argsort(self._free_at, kind="stable")[:n - i]  # ties by node
-            at = self._free_at[order]
-            starts = np.maximum(cursors[i + 1:i + 1 + len(order)], at) + launch
+        while i < n and max(cursors[i + 1], self._first_free()) + launch < walltime:
+            self._requeue()
+            at = self._free[:n - i]
+            starts = np.maximum(cursors[i + 1:i + 1 + len(at)], at) + launch
             k = int(np.searchsorted(starts, walltime))  # starts never decrease
             ends = starts[:k] + durations[i:i + k]
             # one comparison settles the usual step, in which every unit qualifies
@@ -168,9 +180,36 @@ class AgentTimeline:
                 # falls, so the units that qualify form a prefix
                 k = 1 + int(np.count_nonzero(np.minimum.accumulate(ends[:-1]) > at[1:k]))
                 ends = ends[:k]
-            self._free_at[order[:k]] = ends
-            self._record(order[:k], starts[:k], ends)
+            self._record(self._order[:k].copy(), starts[:k], ends)
+            self._free[:k] = ends
+            self._placed = k
             i += k
+
+    def _requeue(self) -> None:
+        """Merge the nodes the last step placed back into (free at, node)
+        order among the others."""
+        k, self._placed = self._placed, 0
+        if not k:
+            return
+        by_end = np.lexsort((self._order[:k], self._free[:k]))  # ties by node
+        placed, ends = self._order[by_end], self._free[by_end]
+        if k == len(self._order):  # no other node to merge with
+            self._order, self._free = placed, ends
+            return
+        nodes, free = self._order[k:], self._free[k:]
+        # each goes before the first waiting node that comes free later, or
+        # at the same time with a higher number
+        at = np.searchsorted(free, ends)
+        tied = np.searchsorted(free, ends, side="right")
+        for j in np.flatnonzero(tied > at):
+            at[j] += np.count_nonzero(nodes[at[j]:tied[j]] < placed[j])
+        at += np.arange(k)  # their places in the merged order
+        rest = np.ones(len(self._order), dtype=bool)
+        rest[at] = False
+        self._order, self._free = np.empty_like(self._order), np.empty_like(self._free)
+        for merged, head, tail in ((self._order, placed, nodes), (self._free, ends, free)):
+            merged[rest] = tail
+            merged[at] = head
 
     def _record(self, nodes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
         self._started.append((nodes, starts, ends))

@@ -321,35 +321,58 @@ def consume_slot_pilot(nodes: int, walltime: int, first: np.ndarray,
     return nodes * cores * walltime / 3600.0, timeline.units_started - timeline.units_cut
 
 
+# first-generation uniforms per batch call in `run_broker_vs_pilot`: 1,000
+# payloads of 100 events share one call's fixed numpy cost, for about 1 MiB
+CHUNK_UNIFORMS = 100_000
+
+
 def run_broker_vs_pilot(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     w, b = cfg.workload, cfg.broker
-    cores = cfg.cluster.cores_per_node
-    rows = []
+    cores, events = cfg.cluster.cores_per_node, b.job_spec.events
+
+    # one generation of payloads per draw, from `rng` or of drawn `uniforms`
+    def draw(nodes, rng, deadline=math.inf, uniforms=None):
+        return job_makespans_batch(nodes, b.job_spec, w.payload_model, rng,
+                                   contention=w.contention, setup_s=w.setup_s,
+                                   deadline=deadline, uniforms=uniforms)
+
+    # the accepted slots, with their streams, in chunks of consecutive slots
+    # of at most CHUNK_UNIFORMS first-generation uniforms, or of one slot
+    rows, chunks, chunk_rows = [], [], math.inf
     for i, (at, slot_nodes, slot_walltime) in enumerate(synthetic_slots(cfg)):
-        accepted = (slot_nodes >= b.min_nodes_per_bundle
-                    and slot_walltime >= b.min_slot_walltime_s)
-        if not accepted:
-            rows.append([i, at, slot_nodes, slot_walltime, 0, 0, 0,
-                         "0.000", "0.000", 0, 0, 0])
+        rows.append([i, at, slot_nodes, slot_walltime])
+        if slot_nodes < b.min_nodes_per_bundle or slot_walltime < b.min_slot_walltime_s:
+            rows[-1] += [0, 0, 0, "0.000", "0.000", 0, 0, 0]
             continue
         nodes = min(slot_nodes, b.max_nodes_per_bundle)
-        walltime = min(slot_walltime, cfg.cluster.cap_for(nodes, BACKFILL))
-        rng = stream_rng(cfg.seed, f"compare-payloads-{i}")
-
-        # one generation of payloads per draw; the first is the broker's bundle
-        def draw(deadline=math.inf):
-            return job_makespans_batch(nodes, b.job_spec, w.payload_model, rng,
-                                       contention=w.contention, setup_s=w.setup_s,
-                                       deadline=deadline)
-
-        bundle = draw()
-        broker_ch, broker_done, held = consume_slot_broker(nodes, walltime, bundle, cores)
-        pilot_ch, pilot_done = consume_slot_pilot(nodes, walltime, bundle, draw,
-                                                  cfg.pilot, cores)
-        residual = walltime - held
-        rows.append([i, at, slot_nodes, slot_walltime, 1, nodes, walltime,
-                     f"{broker_ch:.3f}", f"{pilot_ch:.3f}", broker_done,
-                     pilot_done, int(residual)])
+        rows[-1] += [1, nodes, min(slot_walltime, cfg.cluster.cap_for(nodes, BACKFILL))]
+        if (chunk_rows + nodes) * events > CHUNK_UNIFORMS:
+            chunks.append([])
+            chunk_rows = 0
+        chunks[-1].append((rows[-1], stream_rng(cfg.seed, f"compare-payloads-{i}")))
+        chunk_rows += nodes
+    # pages of the buffer that no chunk reaches are never touched
+    buffer = np.empty(max(CHUNK_UNIFORMS, b.max_nodes_per_bundle * events))
+    for chunk in chunks:
+        # each slot draws its first generation from its own stream, in slot
+        # order, and one batch maps them all; rows are independent, so each
+        # gets the bits of a batch of its own before its later generations
+        used = 0
+        for row, rng in chunk:
+            n = row[5] * events
+            w.payload_model.uniforms(n, rng, out=buffer[used:used + n])
+            used += n
+        first = draw(used // events, None, uniforms=buffer[:used])
+        for row, rng in chunk:
+            nodes, walltime = row[5:7]
+            # the first generation is the broker's bundle
+            bundle, first = first[:nodes], first[nodes:]
+            broker_ch, broker_done, held = consume_slot_broker(nodes, walltime, bundle, cores)
+            pilot_ch, pilot_done = consume_slot_pilot(nodes, walltime, bundle,
+                                                      partial(draw, nodes, rng), cfg.pilot,
+                                                      cores)
+            row += [f"{broker_ch:.3f}", f"{pilot_ch:.3f}", broker_done, pilot_done,
+                    int(walltime - held)]
     path = out_dir / "broker_vs_pilot.csv"
     _write_csv(path, ["slot", "observed_at", "slot_nodes", "slot_walltime_s",
                       "accepted", "bundle_nodes", "walltime_s",

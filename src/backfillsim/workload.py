@@ -242,7 +242,9 @@ def _work(rows: int, n: int) -> np.ndarray:
     """`rows` x `n` floats of this thread's scratch, reused from call to call:
     fresh large temporaries page-fault on every call and cost more than the
     arithmetic. One user at a time: `ndtri`, then the cut and the schedule
-    of `job_makespans_batch`, each done with it before the next takes it."""
+    of `job_makespans_batch`, each done with it before the next takes it.
+    The batch transforms at most `_TRANSFORM_BLOCK` uniforms per `ndtri`
+    call, so a batch of many rows grows the scratch only by its schedule."""
     buf = getattr(_SCRATCH, "buf", None)
     if buf is None or buf.size < rows * n:
         buf = _SCRATCH.buf = np.empty(rows * n)
@@ -371,9 +373,17 @@ class EventDurationModel:
         return (ndtr((math.log(self.lo) - self.mu) / self.sigma),
                 ndtr((math.log(self.hi) - self.mu) / self.sigma))
 
-    def uniforms(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """The random half of `sample`: n uniforms on the truncated CDF's range."""
-        return rng.uniform(*self._cdf_range, size=n)
+    def uniforms(self, n: int, rng: np.random.Generator,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The random half of `sample`: n uniforms on the truncated CDF's
+        range, in a new array or in `out`, n contiguous floats. They carry
+        the bits of `rng.uniform(lo, hi, n)`, which is `lo + (hi - lo) *
+        random()`, in less time."""
+        lo, hi = self._cdf_range
+        out = rng.random(n, out=out)
+        out *= hi - lo
+        out += lo
+        return out
 
     def transform(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The deterministic half of `sample`, element by element, so any
@@ -545,6 +555,7 @@ class SimJobSpec:
             raise ValueError(f"slots_per_node must be 8 or 16, got {self.slots_per_node}")
 
 
+_TRANSFORM_BLOCK = 2 ** 15  # uniforms per `model.transform` call in `job_makespans_batch`
 _GRID = 4096  # steps of the quantile table over [0, 1]; a power of two, so u * _GRID is exact
 
 
@@ -562,14 +573,19 @@ def _quantile_floor(model) -> np.ndarray:
 
 def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Generator,
                         contention: Optional[ContentionModel] = None,
-                        setup_s: float = 0.0, deadline: float = math.inf) -> np.ndarray:
+                        setup_s: float = 0.0, deadline: float = math.inf,
+                        uniforms: Optional[np.ndarray] = None) -> np.ndarray:
     """Setup time plus the payload makespan of `n_jobs` independent
     payloads, by greedy list scheduling (tasks in draw order to the
     earliest-free slot) evaluated for all jobs at once.
 
     Jobs draw their events from `rng` in row order and each job is
     scheduled on its own, so k calls of n jobs on one stream return the
-    same makespans as one call of k * n jobs.
+    same makespans as one call of k * n jobs. `uniforms`, if given, are
+    the `n_jobs * events` draws of `model.uniforms` in row order, from any
+    streams, and `rng` is not used; the batch overwrites them. Rows are
+    scheduled and transformed independently, so a row's makespan has the
+    same bits whatever batch it is in.
 
     Each job's slot end times are kept sorted, slot-major: row k of
     `finish` holds every job's k-th earliest slot end, and a last row of
@@ -610,10 +626,13 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
     """
     slots, events = spec.slots_per_node, spec.events
     scale = 1.0 if contention is None else contention.scale(slots, model.calibrated_at)
-    u = model.uniforms(n_jobs * events, rng).reshape(n_jobs, events)
+    u = (model.uniforms(n_jobs * events, rng) if uniforms is None
+         else uniforms).reshape(n_jobs, events)
 
-    def tasks(block):  # each block is the batch's own, so transform may overwrite it
-        x = model.transform(block, out=block)
+    def tasks(x):  # each block is the batch's own, so transform may overwrite it
+        step = max(_TRANSFORM_BLOCK // events, 1)
+        for block in (x[r:r + step] for r in range(0, len(x), step)):
+            model.transform(block, out=block)
         if contention is not None:
             x *= scale
         return x

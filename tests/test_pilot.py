@@ -165,6 +165,30 @@ def test_many_step_placement_matches_the_per_unit_oracle():
     assert timeline.finalize() == oracle.finalize()
 
 
+@pytest.mark.parametrize("nodes, durations, overheads, walltime, steps", [
+    # 20,000 widely spread units on 2,000 nodes take thousands of numpy
+    # steps, each merging the nodes it placed back into (free at, node) order
+    (2000, UnitDurationModel(mean_s=100.0, sd_s=1000.0).sample(
+        20_000, np.random.default_rng(3)), OverheadModel(), 4000.0, 2000),
+    # the second step frees node 1, then node 0, both at 10: node 0 is next
+    (2, np.array([5.0, 0.0, 10.0, 5.0, 1.0]), ZERO, 100.0, 3),
+])
+def test_many_steps_match_the_per_unit_oracle_column_by_column(nodes, durations, overheads,
+                                                              walltime, steps):
+    oracle = OracleTimeline(nodes, walltime, overheads)
+    oracle.add_units(durations.tolist())
+    timeline = AgentTimeline(nodes, walltime, overheads)
+    timeline.add_units(durations)
+    assert len(timeline._started) - 1 >= steps  # one record per step after the empty one
+    node, start, end = timeline._columns()
+    assert node.tolist() == [u.node for u in oracle.units]
+    assert start.tolist() == [u.start for u in oracle.units]
+    assert np.minimum(end, walltime).tolist() == [u.end for u in oracle.units]
+    assert timeline.units_cut == oracle.units_cut
+    assert timeline.next_start() == oracle.next_start()
+    assert timeline.finalize() == oracle.finalize()
+
+
 def test_walltime_expiry_cuts_running_units():
     rep = run_pilot(2, 1000, constant_units(4, 600.0), ZERO)
     assert rep.units_done == 2

@@ -167,6 +167,34 @@ def test_deadline_draw_keeps_every_unit_record(monkeypatch):
     assert np.isinf(rows).any() and np.isfinite(rows).any()
 
 
+@pytest.mark.parametrize("caps", [{}, {"backfill_caps": [[2147483648, 86400]]}])
+def test_first_generation_chunks_leave_the_outputs_unchanged(tmp_path, monkeypatch, caps):
+    # one slot per first-generation batch, then the default chunks; with
+    # 24-h slots the pilots also run several later generations per slot
+    cfg = resolve_config({"scenario": "broker_vs_pilot", "compare": {"slots": 40},
+                          "cluster": caps})
+    calls = []  # (rows, whether the batch maps first generations)
+
+    def counted(n, *args, uniforms=None, **kwargs):
+        calls.append((n, uniforms is not None))
+        return job_makespans_batch(n, *args, uniforms=uniforms, **kwargs)
+
+    monkeypatch.setattr(scenarios, "job_makespans_batch", counted)
+    outputs, firsts = [], []
+    for cap in (1, scenarios.CHUNK_UNIFORMS):
+        monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", cap)
+        calls.clear()
+        run_scenario({**cfg, "output_dir": f"cap{cap}"}, base_dir=tmp_path)
+        outputs.append((tmp_path / f"cap{cap}" / "broker_vs_pilot.csv").read_bytes())
+        firsts.append([n for n, first in calls if first])
+    assert outputs[0] == outputs[1]
+    rows = read_csv(tmp_path / "cap1" / "broker_vs_pilot.csv")
+    assert [int(r["bundle_nodes"]) for r in rows if r["accepted"] == "1"] == firsts[0]
+    assert len(firsts[1]) < len(firsts[0]) and sum(firsts[1]) == sum(firsts[0])
+    later = len(calls) - len(firsts[1])  # the later generations, one batch each
+    assert later >= len(firsts[0]) and (later > len(firsts[0]) or not caps)
+
+
 def test_slot_calibration_outputs(tmp_path):
     cfg = resolve_config({"scenario": "slot_calibration", "output_dir": "cal",
                           "horizon_days": 1})

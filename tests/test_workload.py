@@ -429,6 +429,39 @@ def test_batch_splits_along_its_stream(first, second):
     assert np.array_equal(whole, np.concatenate(parts))
 
 
+@pytest.mark.parametrize("bounds", [(), (2,), (1, 3)])
+def test_batch_of_uniforms_from_several_streams_matches_each_streams_batch(bounds):
+    # broker_vs_pilot maps the first generations of consecutive slots in one
+    # batch: 1- and 15-row slots, a 330-row slot whose 33,000 uniforms span
+    # two transform blocks, and chunk bounds that split the slots
+    spec = SimJobSpec(events=100, slots_per_node=16)
+    kwargs = dict(contention=WORKLOAD.contention, setup_s=WORKLOAD.setup_s)
+    sizes = [1, 15, 330, 1, 15]
+    alone = [job_makespans_batch(n, spec, MODEL, stream_rng(i, "chunk"), **kwargs)
+             for i, n in enumerate(sizes)]
+    chunks = []
+    for lo, hi in zip((0, *bounds), (*bounds, len(sizes))):
+        u = np.concatenate([MODEL.uniforms(n * spec.events, stream_rng(i, "chunk"))
+                            for i, n in enumerate(sizes[lo:hi], lo)])
+        chunks.append(job_makespans_batch(sum(sizes[lo:hi]), spec, MODEL, None, uniforms=u,
+                                          **kwargs))
+    assert np.concatenate(chunks).tolist() == np.concatenate(alone).tolist()
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n", [0, 1, 15, 30_007])
+def test_uniforms_carry_the_bits_of_numpys_uniform_in_a_new_array_or_a_buffer(model, n):
+    # drawn as random() * (hi - lo) + lo in place, which is how numpy's
+    # `uniform` computes each draw
+    want = stream_rng(5, "out").uniform(*model._cdf_range, size=n).tolist()
+    assert model.uniforms(n, stream_rng(5, "out")).tolist() == want
+    rng, buffer = stream_rng(5, "out"), np.full(n + 2, -1.0)
+    assert model.uniforms(n, rng, out=buffer[1:n + 1]).base is buffer
+    assert buffer.tolist() == [-1.0, *want, -1.0]
+    # and leave the stream where `uniform` does
+    assert rng.random() == stream_rng(5, "out").random(n + 1)[-1]
+
+
 @given(st.integers(0, 5000))
 @settings(max_examples=25, deadline=None)
 def test_makespan_monotone_in_events_for_fixed_pool(seed):
