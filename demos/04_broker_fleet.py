@@ -5,10 +5,13 @@ Broker fleet over backfill gaps
 Three simulated days of the full pipeline: calibrated capability load
 keeps the machine ~96% busy, a fleet of brokers polls the scheduler for
 backfill slots and packs one bundle each, and the accounting ledger
-reports how much of the leftover capacity they captured.
+reports how much of the leftover capacity they captured, and why the
+failed payloads failed.
 
 Takes about ten seconds.
 """
+
+from collections import Counter
 
 from backfillsim import ScenarioConfig, resolve_config, window_report
 from backfillsim.scenarios import _run_cluster, measured_utilization
@@ -37,6 +40,11 @@ failed = sum(b.payloads_failed for b in fleet.bundles)
 print(f"bundles: {len(fleet.bundles)}, payloads done: {done}, failed: {failed} "
       f"({failed/(done+failed):.1%})")
 print(f"events processed: {done * cfg.broker.events_per_job}")
+causes = Counter()
+for b in fleet.bundles:
+    causes.update(b.failures)
+print("failed payloads by cause: "
+      + ", ".join(f"{cause} {n}" for cause, n in causes.most_common()))
 
 sizes = sorted(b.nodes for b in fleet.bundles)
 print(f"bundle sizes: min {sizes[0]}, median {sizes[len(sizes)//2]}, "

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
+from .pilot import _is_count
 from .scheduler import BACKFILL, BatchJob
 from .simcore import Simulation
 from .workload import IoProfile, SimJobSpec, WorkloadConfig, job_makespans_batch
@@ -38,22 +39,12 @@ class FailureModel:
     def __post_init__(self):
         if not 0 <= self.failure_prob <= 1:
             raise ValueError(f"failure_prob must be in [0, 1], got {self.failure_prob}")
+        for name, share in self.failure_mix:  # NaN passes the sum check below
+            if not 0 <= share <= 1:
+                raise ValueError(f"failure_mix.{name} must be between 0 and 1, got {share}")
         total = sum(w for _, w in self.failure_mix)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"failure_mix must sum to 1, got {total}")
-
-    def draw_causes(self, n: int, rng: np.random.Generator) -> list[Optional[str]]:
-        """None means the payload succeeded; otherwise the failure cause."""
-        failed = rng.random(n) < self.failure_prob
-        causes: list[Optional[str]] = [None] * n
-        idx = np.flatnonzero(failed)
-        if len(idx):
-            names = [name for name, _ in self.failure_mix]
-            weights = np.array([w for _, w in self.failure_mix])
-            picks = rng.choice(len(names), size=len(idx), p=weights / weights.sum())
-            for i, pick in zip(idx, picks):
-                causes[i] = names[pick]
-        return causes
 
 
 @dataclass(frozen=True)
@@ -90,21 +81,26 @@ class BrokerConfig:
     failure: FailureModel = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_brokers < 1:
-            raise ValueError(f"n_brokers must be >= 1, got {self.n_brokers}")
-        if self.poll_interval_s < 1:
-            raise ValueError(f"poll_interval_s must be >= 1, got {self.poll_interval_s}")
         if self.min_nodes_per_bundle < 1:
             raise ValueError(f"min_nodes_per_bundle must be >= 1, "
                              f"got {self.min_nodes_per_bundle}")
-        if self.min_nodes_per_bundle > self.max_nodes_per_bundle:
-            raise ValueError("min_nodes_per_bundle must not exceed max_nodes_per_bundle")
         if self.job_limit is not None and self.job_limit < 0:
             raise ValueError(f"job_limit must be >= 0, got {self.job_limit}")
+        # counts size arrays, ranges and event times
+        for name in ("n_brokers", "poll_interval_s", "events_per_job", "slots_per_node",
+                     "min_nodes_per_bundle", "max_nodes_per_bundle"):
+            if not _is_count(getattr(self, name), 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        if not (self.job_limit is None or _is_count(self.job_limit, 0)):
+            raise ValueError(f"job_limit must be an integer >= 0, got {self.job_limit!r}")
+        if self.min_nodes_per_bundle > self.max_nodes_per_bundle:
+            raise ValueError("min_nodes_per_bundle must not exceed max_nodes_per_bundle")
         for name in ("stage_in_base_s", "stage_in_per_gb_s", "stage_out_base_s",
                      "stage_out_per_gb_s"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if getattr(self, name) == math.inf:  # the transfer time is an int
+                raise ValueError(f"{name} must be finite, got inf")
         if self.sizing_policy not in ("fixed", "fit_walltime"):
             raise ValueError("sizing_policy must be 'fixed' or 'fit_walltime', "
                              f"got {self.sizing_policy!r}")
@@ -118,30 +114,35 @@ class BrokerConfig:
 @dataclass(eq=False)
 class Bundle(BatchJob):
     """The backfill `BatchJob` a broker submits: one full-node payload per
-    node. The scheduler sets its times and `killed`; `outcomes` holds one
-    entry per payload once it ends."""
+    node. The scheduler sets its times and `killed`; when it ends, its
+    broker sets `payloads_done` and `failures`, the failed payloads counted
+    by cause (`bundle_outcomes`). It keeps nothing per payload."""
 
     events_per_payload: int = field(kw_only=True)
-    makespans: Optional[np.ndarray] = field(default=None, repr=False, kw_only=True)
-    outcomes: list = field(default_factory=list, repr=False, kw_only=True)
-
-    @property
-    def payloads_done(self) -> int:
-        return sum(1 for o in self.outcomes if o is None)
+    payloads_done: int = field(default=0, kw_only=True)
+    failures: dict[str, int] = field(default_factory=dict, kw_only=True)
 
     @property
     def payloads_failed(self) -> int:
-        return sum(1 for o in self.outcomes if o is not None)
+        return sum(self.failures.values())
 
 
-def bundle_outcomes(makespans: np.ndarray, elapsed: float,
-                    failure_model: FailureModel,
-                    rng: np.random.Generator) -> list[Optional[str]]:
-    """Final per-payload outcome: walltime cut-offs fail outright, the
-    rest succeed unless the failure draw says otherwise."""
-    causes = failure_model.draw_causes(len(makespans), rng)
-    return ["walltime" if m > elapsed else causes[i]
-            for i, m in enumerate(makespans)]
+def bundle_outcomes(makespans: np.ndarray, elapsed: float, failure_model: FailureModel,
+                    rng: np.random.Generator) -> tuple[int, dict[str, int]]:
+    """(payloads done, failures by cause) of a bundle that ran `elapsed`
+    seconds. A payload past it fails as "walltime"; any other fails with
+    `failure_prob`, its cause drawn from the sorted mix. Every payload
+    draws, and every failure draws a cause, cut off or not."""
+    cut = makespans > elapsed
+    failed = rng.random(len(makespans)) < failure_model.failure_prob
+    names = [name for name, _ in failure_model.failure_mix]
+    causes = np.zeros(len(names), dtype=np.int64)
+    if failed.any():
+        weights = np.array([w for _, w in failure_model.failure_mix])
+        picks = rng.choice(len(names), size=np.count_nonzero(failed), p=weights / weights.sum())
+        causes = np.bincount(picks[~cut[failed]], minlength=len(names))
+    return (int(np.count_nonzero(~(cut | failed))),
+            {"walltime": int(np.count_nonzero(cut)), **dict(zip(names, causes.tolist()))})
 
 
 class Broker:
@@ -152,6 +153,7 @@ class Broker:
         self.index = index
         self.rng = fleet.sim.rng(f"broker-{index}")
         self._counter = 0
+        self._makespans: Optional[np.ndarray] = None  # of the outstanding bundle
 
     def start(self, at: int) -> None:
         self.fleet.sim.schedule(at, "broker_fetch", self._fetch, target=self._name)
@@ -212,8 +214,8 @@ class Broker:
         runtime = max(1, int(math.ceil(float(makespans.max()))))
         bundle = Bundle(nodes=nodes, walltime=walltime, priority_class=BACKFILL,
                         runtime=runtime, id=f"bundle-{self.index}-{self._counter}",
-                        on_end=self._on_end, events_per_payload=spec.events,
-                        makespans=makespans)
+                        on_end=self._on_end, events_per_payload=spec.events)
+        self._makespans = makespans
         self._counter += 1
         self.fleet.cluster.submit(bundle)
         if jobs_left is not None:
@@ -221,8 +223,9 @@ class Broker:
 
     def _on_end(self, bundle: Bundle) -> None:
         elapsed = bundle.end_time - bundle.start_time
-        bundle.outcomes = bundle_outcomes(bundle.makespans, elapsed,
-                                          self.fleet.cfg.failure, self.rng)
+        bundle.payloads_done, bundle.failures = bundle_outcomes(
+            self._makespans, elapsed, self.fleet.cfg.failure, self.rng)
+        self._makespans = None
         self.fleet.record_bundle(bundle)
         per_node = float(self.fleet.io.written_gb_per_node.sample(1, self.rng)[0])
         cfg = self.fleet.cfg

@@ -140,18 +140,13 @@ def _run_cluster(cfg: ScenarioConfig, with_brokers: bool, n_brokers: int | None 
     return cluster, ledger, poller, fleet, horizon
 
 
-def _window_reports(cfg: ScenarioConfig, ledger, poller, fleet, horizon: int):
-    credit = cfg.metrics.availability_credit
+def _window_reports(cfg: ScenarioConfig, bundles, horizon: int,
+                    avail: Callable[[tuple[int, int], int], float]):
+    """(label, report) per calendar month; `avail(window, cores_per_node)`
+    gives the window's available core-hours."""
     cores = cfg.cluster.cores_per_node
-    bundles = fleet.bundles if fleet else []
-    reports = []
-    for label, w0, w1 in month_windows(cfg.start_date, horizon):
-        if credit == "rate":
-            avail = ledger.core_hours((w0, w1), cores)
-        else:
-            avail = total_backfill_availability(poller.polls, (w0, w1), cores)
-        reports.append((label, window_report(bundles, (w0, w1), cores, avail)))
-    return reports
+    return [(label, window_report(bundles, (w0, w1), cores, avail((w0, w1), cores)))
+            for label, w0, w1 in month_windows(cfg.start_date, horizon)]
 
 
 def _used_core_hours(bundles, cores_per_node: int) -> float:
@@ -166,9 +161,11 @@ def _efficiency_outputs(cfg: ScenarioConfig, out_dir: Path, cluster, ledger, pol
     emit_poll_trace(slots_path, poller.polls)
     files.append(slots_path)
 
-    reports = _window_reports(cfg, ledger, poller, fleet, horizon)
+    avail = (ledger.core_hours if cfg.metrics.availability_credit == "rate"
+             else partial(total_backfill_availability, poller.polls))
     monthly = out_dir / "monthly_report.csv"
-    write_window_reports(monthly, reports)
+    write_window_reports(monthly, _window_reports(cfg, fleet.bundles if fleet else [],
+                                                  horizon, avail))
     files.append(monthly)
 
     if fleet is not None:
@@ -398,19 +395,12 @@ def run_replay_efficiency(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     fleet.start(0)
     sim.run_until(horizon)
 
-    cores = cfg.cluster.cores_per_node
-    reports = []
-    for label, w0, w1 in month_windows(cfg.start_date, horizon):
-        avail = total_backfill_availability(records, (w0, w1), cores)
-        reports.append((label, window_report(fleet.bundles, (w0, w1), cores, avail)))
-    files = []
     monthly = out_dir / "monthly_report.csv"
-    write_window_reports(monthly, reports)
-    files.append(monthly)
+    write_window_reports(monthly, _window_reports(
+        cfg, fleet.bundles, horizon, partial(total_backfill_availability, records)))
     bundles_path = out_dir / "bundles.csv"
     fleet.write_bundle_log(bundles_path)
-    files.append(bundles_path)
-    return files
+    return [monthly, bundles_path]
 
 
 # -- entry point -------------------------------------------------------------------

@@ -6,6 +6,7 @@ from backfillsim import (BrokerConfig, BrokerFleet, Bundle, ClusterConfig,
                          Simulation, WorkloadConfig, bundle_outcomes, stream_rng,
                          total_backfill_availability, window_report)
 from backfillsim.metrics import PollRecord
+from outcome_oracle import outcome_counts, payload_outcomes
 
 WORKLOAD = WorkloadConfig()  # setup_s 265, contention at the calibrated means
 MODEL = WORKLOAD.payload_model
@@ -29,7 +30,7 @@ def test_wide_slot_clamped_to_max_bundle_nodes():
     bundle = fleet.bundles[0]
     assert bundle.nodes == 300          # clamped from 691
     assert bundle.walltime == 7560      # sized to the slot
-    assert len(bundle.outcomes) == 300
+    assert bundle.payloads_done + bundle.payloads_failed == 300
 
 
 def test_default_cap_bounds_bundle_walltime():
@@ -117,42 +118,64 @@ def test_band_cap_decline_keeps_the_finite_source_whole():
 
 # -- outcomes -------------------------------------------------------------------
 
+NO_FAILURES = dict.fromkeys(["walltime", "broker", "dispatcher", "other", "payload"], 0)
+
 
 def test_zero_failure_probability_all_done():
     model = BrokerConfig(failure_prob=0.0).failure
     makespans = np.full(50, 1000.0)
-    outcomes = bundle_outcomes(makespans, 2000.0, model, stream_rng(0, "f"))
-    assert outcomes == [None] * 50
+    assert bundle_outcomes(makespans, 2000.0, model, stream_rng(0, "f")) == (50, NO_FAILURES)
 
 
 def test_certain_failure_all_failed():
     model = BrokerConfig(failure_prob=1.0).failure
-    outcomes = bundle_outcomes(np.full(50, 1000.0), 2000.0, model, stream_rng(0, "f"))
-    assert all(o is not None for o in outcomes)
+    done, failures = bundle_outcomes(np.full(50, 1000.0), 2000.0, model, stream_rng(0, "f"))
+    assert done == 0
+    assert sum(failures.values()) == 50
+    assert failures["walltime"] == 0
 
 
 def test_failure_rate_converges():
     model = BrokerConfig().failure
-    outcomes = bundle_outcomes(np.full(100_000, 10.0), 20.0, model,
-                               stream_rng(1, "rate"))
-    frac = sum(o is not None for o in outcomes) / len(outcomes)
+    done, failures = bundle_outcomes(np.full(100_000, 10.0), 20.0, model,
+                                     stream_rng(1, "rate"))
+    frac = sum(failures.values()) / 100_000
+    assert done == 100_000 - sum(failures.values())
     assert abs(frac - 0.136) <= 0.01
 
 
 def test_cause_mix_converges():
     model = BrokerConfig(failure_prob=1.0).failure
-    outcomes = bundle_outcomes(np.full(100_000, 10.0), 20.0, model,
-                               stream_rng(2, "mix"))
+    _, failures = bundle_outcomes(np.full(100_000, 10.0), 20.0, model,
+                                  stream_rng(2, "mix"))
     for cause, weight in model.failure_mix:
-        frac = sum(o == cause for o in outcomes) / len(outcomes)
+        frac = failures[cause] / 100_000
         assert abs(frac - weight) < 0.01
 
 
 def test_walltime_cutoff_marks_unfinished_payloads():
     model = BrokerConfig(failure_prob=0.0).failure
     makespans = np.array([500.0, 1500.0, 800.0])
-    outcomes = bundle_outcomes(makespans, 1000.0, model, stream_rng(0, "w"))
-    assert outcomes == [None, "walltime", None]
+    assert bundle_outcomes(makespans, 1000.0, model, stream_rng(0, "w")) == \
+        (2, {**NO_FAILURES, "walltime": 1})
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 300, 100_000])
+@pytest.mark.parametrize("failure_prob", [0.0, 0.136, 1.0])
+@pytest.mark.parametrize("cutoffs", [False, True])
+def test_counts_match_the_per_payload_outcomes(n, failure_prob, cutoffs):
+    # the same draws as one outcome per payload, counted; a cut-off payload
+    # draws a cause too but counts only as "walltime"
+    model = BrokerConfig(failure_prob=failure_prob).failure
+    makespans = stream_rng(5, f"ms-{n}").uniform(500.0, 1500.0, n)
+    elapsed = 1000.0 if cutoffs else 2000.0
+    seed = f"outcomes-{n}-{failure_prob}-{cutoffs}"
+    ours, theirs = stream_rng(3, seed), stream_rng(3, seed)
+    counts = bundle_outcomes(makespans, elapsed, model, ours)
+    assert counts == outcome_counts(payload_outcomes(makespans, elapsed, model, theirs), model)
+    assert ours.random() == theirs.random()  # the stream is in the same place
+    if cutoffs and n >= 300:
+        assert counts[1]["walltime"] > 0
 
 
 def test_every_payload_has_exactly_one_outcome():
@@ -160,7 +183,9 @@ def test_every_payload_has_exactly_one_outcome():
     sim.run_until(40_000)
     bundle = fleet.bundles[0]
     assert bundle.payloads_done + bundle.payloads_failed == bundle.nodes
-    assert len(bundle.outcomes) == bundle.nodes
+    assert list(bundle.failures) == list(NO_FAILURES)
+    # a finished bundle keeps nothing per payload
+    assert not [k for k, v in vars(bundle).items() if isinstance(v, (list, np.ndarray))]
 
 
 def test_failure_mix_must_sum_to_one():
@@ -203,5 +228,6 @@ def test_bundle_start_triggers_on_live_cluster():
     assert fleet.bundles or cluster.running
     for b in fleet.bundles:
         assert b.start_time == b.submit_time
+        assert b.payloads_done + b.payloads_failed == b.nodes
         assert 15 <= b.nodes <= 300
         assert b.walltime >= 6300

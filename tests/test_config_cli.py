@@ -10,7 +10,8 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from backfillsim import (DEFAULTS, ConfigError, ScenarioConfig, config_hash, dump_defaults,
+from backfillsim import (DEFAULTS, BrokerFleet, ConfigError, PollRecord, ReplayScheduler,
+                         ScenarioConfig, Simulation, config_hash, dump_defaults,
                          load_scenario_file, resolve_config, run_scenario)
 from backfillsim.cli import main
 
@@ -298,6 +299,22 @@ BAD_INPUTS = [
      "compare: slot_nodes_mean must be finite and > 0, got inf"),
     ({"compare": {"slots": math.nan}}, "compare: slots must be an integer >= 0, got nan"),
     ({"compare": {"slots": 2.5}}, "compare: slots must be an integer >= 0, got 2.5"),
+    ({"broker": {"n_brokers": 2.5}}, "broker: n_brokers must be an integer >= 1, got 2.5"),
+    ({"broker": {"slots_per_node": 8.0}},
+     "broker: slots_per_node must be an integer >= 1, got 8.0"),
+    ({"broker": {"events_per_job": 10.5}},
+     "broker: events_per_job must be an integer >= 1, got 10.5"),
+    ({"broker": {"max_nodes_per_bundle": 20.5}},
+     "broker: max_nodes_per_bundle must be an integer >= 1, got 20.5"),
+    ({"broker": {"job_limit": 20.5}}, "broker: job_limit must be an integer >= 0, got 20.5"),
+    ({"broker": {"stage_in_base_s": math.inf}}, "broker: stage_in_base_s must be finite, got inf"),
+    ({"broker": {"stage_out_per_gb_s": math.inf}},
+     "broker: stage_out_per_gb_s must be finite, got inf"),
+    # the other shares still sum to 1
+    ({"broker": {"failure_mix": {"broker": -0.5, "other": 1.08}}},
+     "broker: failure_mix.broker must be between 0 and 1, got -0.5"),
+    ({"broker": {"failure_mix": {"payload": math.nan}}},
+     "broker: failure_mix.payload must be between 0 and 1, got nan"),
 ]
 
 
@@ -352,9 +369,14 @@ def _time_out(signum, frame):
     raise RunTimedOut
 
 
-def _validates_then_runs(raw):
-    """Either `resolve_config` rejects `raw` or `run_scenario` finishes it
-    within the time limit."""
+def _run_scenario(cfg):
+    with tempfile.TemporaryDirectory() as base:
+        run_scenario(cfg, base_dir=base)
+
+
+def _validates_then_runs(raw, run=_run_scenario):
+    """Either `resolve_config` rejects `raw` or `run` finishes the resolved
+    config within the time limit."""
     try:
         cfg = resolve_config(raw)
     except ConfigError:
@@ -362,8 +384,7 @@ def _validates_then_runs(raw):
     previous = signal.signal(signal.SIGALRM, _time_out)
     signal.setitimer(signal.ITIMER_REAL, 5.0)
     try:
-        with tempfile.TemporaryDirectory() as base:
-            run_scenario(cfg, base_dir=base)
+        run(cfg)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -437,3 +458,41 @@ def test_background_config_that_validates_also_runs(edits):
     for key, value in edits:
         raw["background"][key] = value
     _validates_then_runs(raw)
+
+
+# the broker keys a fleet reads once it runs: counts, bundle bounds, stage
+# costs and the failure draw
+BROKER_KEYS = ["n_brokers", "poll_interval_s", "events_per_job", "slots_per_node", "job_limit",
+               "min_nodes_per_bundle", "max_nodes_per_bundle", "min_slot_walltime_s",
+               "stage_in_base_s", "stage_in_per_gb_s", "stage_out_base_s",
+               "stage_out_per_gb_s", "failure_prob",
+               *(f"failure_mix.{cause}" for cause in DEFAULTS["broker"]["failure_mix"])]
+
+
+def _run_one_broker(cfg):
+    # one wide replayed slot and 40,000 s: the bundle ends and draws its outcomes
+    tree = ScenarioConfig.from_dict(cfg)
+    sim = Simulation(seed=tree.seed)
+    cluster = ReplayScheduler(sim, [PollRecord(0, 691, 7560)], tree.cluster)
+    BrokerFleet(sim, cluster, tree.broker, tree.workload).start(0)
+    sim.run_until(40_000)
+
+
+@given(st.lists(st.tuples(st.sampled_from(BROKER_KEYS),
+                          st.sampled_from([0, -1, 1, 1.5, math.inf, math.nan])), max_size=3))
+@settings(max_examples=200)
+def test_broker_config_that_validates_also_runs(edits):
+    # up to three broker keys set to 0, -1, 1, 1.5, inf or NaN on a one-broker
+    # fleet; a `failure_mix` edit moves the change to the next cause in
+    # sorted order, so the shares still sum to 1 unless a NaN or inf is drawn
+    raw = {"broker": {"n_brokers": 1, "failure_mix": dict(DEFAULTS["broker"]["failure_mix"])}}
+    for key, value in edits:
+        cause = key.partition(".")[2]
+        if cause:
+            mix = raw["broker"]["failure_mix"]
+            causes = sorted(mix)
+            mix[causes[(causes.index(cause) + 1) % len(causes)]] += mix[cause] - value
+            mix[cause] = value
+        else:
+            raw["broker"][key] = value
+    _validates_then_runs(raw, _run_one_broker)

@@ -11,7 +11,7 @@ from backfillsim.metrics import write_window_reports
 def finished_bundle(nodes, start, end, done=0, failed=0, events=100):
     return Bundle(id=f"b-{start}-{end}", nodes=nodes, walltime=end - start,
                   events_per_payload=events, submit_time=start, start_time=start,
-                  end_time=end, outcomes=[None] * done + ["payload"] * failed)
+                  end_time=end, payloads_done=done, failures={"payload": failed})
 
 
 def test_record_validation():
