@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
-from .pilot import _is_count
-from .scheduler import BACKFILL, BatchJob
+from .scheduler import BACKFILL, BatchJob, _is_count
 from .simcore import Simulation
 from .workload import IoProfile, SimJobSpec, WorkloadConfig, job_makespans_batch
 
@@ -93,6 +92,10 @@ class BrokerConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not (self.job_limit is None or _is_count(self.job_limit, 0)):
             raise ValueError(f"job_limit must be an integer >= 0, got {self.job_limit!r}")
+        # a NaN or infinite floor declines every slot, so the fleet never submits
+        if not 0 <= self.min_slot_walltime_s < math.inf:
+            raise ValueError(f"min_slot_walltime_s must be finite and >= 0, "
+                             f"got {self.min_slot_walltime_s}")
         if self.min_nodes_per_bundle > self.max_nodes_per_bundle:
             raise ValueError("min_nodes_per_bundle must not exceed max_nodes_per_bundle")
         for name in ("stage_in_base_s", "stage_in_per_gb_s", "stage_out_base_s",

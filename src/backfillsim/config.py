@@ -26,7 +26,7 @@ import yaml
 
 from .broker import BrokerConfig
 from .pilot import PilotConfig
-from .scheduler import ClusterConfig
+from .scheduler import ClusterConfig, _is_count
 from .workload import BackgroundLoadProfile, WorkloadConfig
 
 # Broker fleets on a live EASY cluster over background load, and pilots
@@ -89,8 +89,10 @@ class MetricsConfig:
     availability_credit: str = "rate"  # or "walltime"
 
     def __post_init__(self):
-        if self.poll_interval_s < 1:
-            raise ValueError(f"poll_interval_s must be >= 1, got {self.poll_interval_s}")
+        # the poller reschedules itself with `schedule_in`, which takes whole seconds
+        if not _is_count(self.poll_interval_s, 1):
+            raise ValueError(f"poll_interval_s must be an integer >= 1, "
+                             f"got {self.poll_interval_s!r}")
         if self.availability_credit not in ("rate", "walltime"):
             raise ValueError("availability_credit must be 'rate' or 'walltime', "
                              f"got {self.availability_credit!r}")

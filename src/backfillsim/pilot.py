@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .scheduler import BACKFILL, CAPABILITY
+from .scheduler import BACKFILL, CAPABILITY, _is_count
 
 DONE = "done"
 INCOMPLETE = "incomplete"
@@ -37,10 +37,6 @@ class OverheadModel:
 
 
 _QUEUES = {"capability": CAPABILITY, "backfill": BACKFILL}
-
-
-def _is_count(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)

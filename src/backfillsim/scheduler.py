@@ -45,6 +45,10 @@ class UnknownJobError(Exception):
     pass
 
 
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Machine profile. The default mirrors a leadership-class system:
@@ -59,10 +63,9 @@ class ClusterConfig:
     capability_caps: tuple[tuple[int, int], ...] = (((1 << 31), 86400),)
 
     def __post_init__(self):
-        if self.total_nodes <= 0:
-            raise ValueError(f"total_nodes must be positive, got {self.total_nodes}")
-        if self.cores_per_node <= 0:
-            raise ValueError(f"cores_per_node must be positive, got {self.cores_per_node}")
+        for name in ("total_nodes", "cores_per_node"):
+            if not _is_count(getattr(self, name), 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         for name in ("backfill_caps", "capability_caps"):
             bands = getattr(self, name)
             if not bands:

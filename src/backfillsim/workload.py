@@ -241,8 +241,8 @@ _SCRATCH = threading.local()
 def _work(rows: int, n: int) -> np.ndarray:
     """`rows` x `n` floats of this thread's scratch, reused from call to call:
     fresh large temporaries page-fault on every call and cost more than the
-    arithmetic. One user at a time: `ndtri`, then the cut and the schedule
-    of `job_makespans_batch`, each done with it before the next takes it.
+    arithmetic. One user at a time: `ndtri`, then the schedule of
+    `job_makespans_batch`, each done with it before the next takes it.
     The batch transforms at most `_TRANSFORM_BLOCK` uniforms per `ndtri`
     call, so a batch of many rows grows the scratch only by its schedule."""
     buf = getattr(_SCRATCH, "buf", None)
@@ -375,23 +375,22 @@ class EventDurationModel:
 
     def uniforms(self, n: int, rng: np.random.Generator,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The random half of `sample`: n uniforms on the truncated CDF's
-        range, in a new array or in `out`, n contiguous floats. They carry
-        the bits of `rng.uniform(lo, hi, n)`, which is `lo + (hi - lo) *
-        random()`, in less time."""
-        lo, hi = self._cdf_range
-        out = rng.random(n, out=out)
-        out *= hi - lo
-        out += lo
-        return out
+        """The random half of `sample`: n draws of `rng.random()`, in a new
+        array or in `out`, n contiguous floats."""
+        return rng.random(n, out=out)
 
-    def transform(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def transform(self, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The deterministic half of `sample`, element by element, so any
         block of `uniforms` maps to the same bits as within the whole, in a
-        new array or in `out` (as for `ndtri`, u itself allowed). The steps
-        work in place on `ndtri`'s result, with the bits of
-        `clip(exp(mu + sigma * ndtri(u)), lo, hi)`."""
-        x = ndtri(u, out)
+        new array or in `out` (as for `ndtri`, r itself allowed). Each draw
+        goes onto the truncated CDF's range as `rng.uniform(lo, hi)` puts
+        it, `lo + (hi - lo) * r`, and the steps then work in place on
+        `ndtri`'s result, with the bits of `clip(exp(mu + sigma * ndtri(u)),
+        lo, hi)`."""
+        lo, hi = self._cdf_range
+        x = np.multiply(r, hi - lo, out=out)
+        x += lo
+        ndtri(x, x)
         x *= self.sigma
         x += self.mu
         np.exp(x, out=x)
@@ -556,19 +555,43 @@ class SimJobSpec:
 
 
 _TRANSFORM_BLOCK = 2 ** 15  # uniforms per `model.transform` call in `job_makespans_batch`
-_GRID = 4096  # steps of the quantile table over [0, 1]; a power of two, so u * _GRID is exact
+_GRID = 4096  # steps of the quantile table over [0, 1]; a power of two, so r * _GRID is exact
+
+
+def _quantile_floor(model) -> np.ndarray:
+    """Entry k is `model.transform` at (k - 1) / _GRID, and at 0 for k = 0:
+    for a non-decreasing `transform`, no more than the task of any draw `r`
+    with `int(r * _GRID) == k`, since r >= k / _GRID. One step low, so a
+    transform that is monotone only up to its rounding stays above it."""
+    return model.transform(np.maximum(np.arange(-1, _GRID), 0) / _GRID)
 
 
 @functools.lru_cache(maxsize=16)
-def _quantile_floor(model) -> np.ndarray:
-    """Entry k is `model.transform` at (k - 1) / _GRID, and at 0 for k = 0:
-    for a non-decreasing `transform`, no more than the task of any uniform
-    `u` with `int(u * _GRID) == k`, since u >= k / _GRID. One step low, so a
-    transform that is monotone only up to its rounding stays above it.
-    Cached, so read-only."""
-    floor = model.transform(np.maximum(np.arange(-1, _GRID), 0) / _GRID)
-    floor.flags.writeable = False
-    return floor
+def _minorant(model) -> tuple[float, float]:
+    """(a, b), both >= 0, with `a + b * (k + 1) / _GRID <= floor[k]` for
+    every entry k of `_quantile_floor(model)`, so `a + b * r` is no more
+    than the task of any draw r in [0, 1]: r < (k + 1) / _GRID for its k.
+    Of those lines, nearly the one highest at r = 1/2, so highest on
+    average: its slope maximises the concave `min(floor - b * (x - 1/2))`
+    over [0, min(floor / x)], where a stays >= 0, by bisection on the side
+    of 1/2 where that minimum is taken. Then b is lowered by 2**-40 of
+    itself and a by 2**-40 of the table's top, far more than the rounding
+    of the check below.
+    Takes `_work` scratch (through `transform`), so no caller may hold it."""
+    floor = _quantile_floor(model)
+    x = np.arange(1, _GRID + 2) / _GRID
+    lo, hi = 0.0, float(np.min(floor / x))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if x[np.argmin(floor - mid * x)] < 0.5:
+            lo = mid
+        else:
+            hi = mid
+    b = lo * (1.0 - 2.0 ** -40)
+    a = max(float(np.min(floor - b * x)) - float(floor.max()) * 2.0 ** -40, 0.0)
+    if not np.all(a + b * x <= floor):
+        raise ArithmeticError(f"no linear minorant found below the task table of {model}")
+    return a, b
 
 
 def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Generator,
@@ -604,28 +627,30 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
     +inf and is never scheduled; every other row keeps its exact makespan,
     and the draws from `rng` are the same. All uniforms are drawn at once,
     as without a deadline, but `model.transform` maps only the rows that
-    pass a cut. The cut is a lower bound on each row's makespan,
-    `setup_s + (sum of the row's table floors) / slots`: a uniform `u` (all
-    lie in [0, 1]) has the floor `_quantile_floor(model)[int(u * _GRID)] *
-    scale`, which is no larger than its task (`transform` is non-decreasing,
-    and rounding the product with `scale` is monotone). The surviving rows are transformed
-    and tested again with the bound over their tasks' full sums, which
-    decides. Both bounds hold because some slot carries at least the mean
-    load whatever the schedule. Floors no larger than tasks, summed in the
-    same order, give a computed sum no larger than the tasks' (each
-    rounded addition is monotone), so the cut never drops a row the full
-    sums keep. The computed makespan may round below the real one, and a
-    computed bound above it, by at most about `events * 2**-53` of the
-    value. Each bound is therefore shrunk by `events * 2**-50`, which
-    covers that rounding, plus 1e-12, so that a +inf row's computed
-    makespan exceeds `deadline` by a relative margin. That margin outlasts
-    one more rounding of `start + makespan` against a walltime up to 1,000
-    times the makespan, as in the pilot's test of `start + duration` with
-    `walltime`. Rows only leave the batch, so no other row's arithmetic
-    changes.
+    pass a cut. Some slot carries at least the mean load whatever the
+    schedule (Graham 1969), so `setup_s + (sum of the row's tasks) / slots`
+    bounds its makespan from below, and so does any smaller sum. The cut
+    takes the row sum of the raw draws: with the minorant `(a, b)` of
+    `_minorant(model)`, `a + b * r` is no more than the task of draw r, so
+    `setup_s + (events * a + b * sum(r)) * scale / slots` is no more than
+    the row's bound. The surviving rows are transformed and tested again
+    with the bound over their tasks' full sums, which decides. Every term
+    of both sums is non-negative, so each computed bound lies within
+    about `(events + 8) * 2**-53` of its real value. The full-sum test
+    therefore shrinks its bound by `events * 2**-50`, which covers that
+    rounding, plus 1e-12, so that a +inf row's computed makespan exceeds
+    `deadline` by a relative margin. That margin outlasts one more
+    rounding of `start + makespan` against a walltime up to 1,000 times
+    the makespan, as in the pilot's test of `start + duration` with
+    `walltime`. The cut shrinks its bound twice, which covers the
+    rounding of both bounds, so it never drops a row the full-sum test
+    keeps, and the rows returned are the full-sum test's. Rows only leave
+    the batch, so no other row's arithmetic changes.
     """
     slots, events = spec.slots_per_node, spec.events
     scale = 1.0 if contention is None else contention.scale(slots, model.calibrated_at)
+    if deadline < math.inf:
+        a, b = _minorant(model)
     u = (model.uniforms(n_jobs * events, rng) if uniforms is None
          else uniforms).reshape(n_jobs, events)
 
@@ -640,13 +665,11 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
     kept = None
     if deadline < math.inf:
         shrink = 1.0 - 1e-12 - events * 2.0 ** -50
-        floors = _quantile_floor(model) * scale
-        grid, index = _work(2, u.size)
-        np.multiply(u.reshape(-1), _GRID, out=grid)
-        index = index.view(np.int64)
-        np.copyto(index, grid, casting="unsafe")  # truncates: int(u * _GRID)
-        bound = np.take(floors, index, out=grid).reshape(u.shape).sum(axis=1)
-        kept = np.flatnonzero((setup_s + bound / slots) * shrink <= deadline)
+        bound = u.sum(axis=1)
+        bound *= b
+        bound += events * a
+        bound *= scale
+        kept = np.flatnonzero((setup_s + bound / slots) * (shrink * shrink) <= deadline)
         if not len(kept):
             return np.full(n_jobs, np.inf)
         durations = tasks(u if len(kept) == n_jobs else u[kept])

@@ -221,6 +221,20 @@ BAD_INPUTS = [
     ({"pilot": {"nodes_list": [0]}}, "pilot: nodes_list"),
     ({"horizon_days": 1e-6}, "horizon_days"),
     ({"metrics": {"poll_interval_s": 0}}, "metrics: poll_interval_s"),
+    # each of these once validated, then crashed the poller's first reschedule
+    ({"metrics": {"poll_interval_s": math.inf}},
+     "metrics: poll_interval_s must be an integer >= 1, got inf"),
+    ({"metrics": {"poll_interval_s": math.nan}},
+     "metrics: poll_interval_s must be an integer >= 1, got nan"),
+    ({"metrics": {"poll_interval_s": 1.5}},
+     "metrics: poll_interval_s must be an integer >= 1, got 1.5"),
+    # once validated, and then the fleet declined every slot
+    ({"broker": {"min_slot_walltime_s": math.nan}},
+     "broker: min_slot_walltime_s must be finite and >= 0, got nan"),
+    ({"broker": {"min_slot_walltime_s": math.inf}},
+     "broker: min_slot_walltime_s must be finite and >= 0, got inf"),
+    ({"cluster": {"cores_per_node": 1.5}}, "cluster: cores_per_node must be an integer >= 1"),
+    ({"cluster": {"total_nodes": 1.5}}, "cluster: total_nodes must be an integer >= 1"),
     ({"broker": {"poll_interval_s": 0}}, "broker: poll_interval_s"),
     ({"scenario": "broker_vs_pilot", "compare": {"slot_nodes_mean": 0}},
      "compare: slot_nodes_mean"),

@@ -11,6 +11,7 @@ import pytest
 from backfillsim import (EasyBackfillScheduler, ScenarioConfig, config, emit_poll_trace,
                          job_makespans_batch, load_scenario_file, resolve_config,
                          Simulation, run_scenario, scenarios, stream_rng, synthetic_slots)
+from backfillsim.workload import EventDurationModel, _minorant
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -165,6 +166,40 @@ def test_deadline_draw_keeps_every_unit_record(monkeypatch):
         assert records(nodes, walltime, seed, True) == records(nodes, walltime, seed, False)
     rows = np.concatenate(bounded)
     assert np.isinf(rows).any() and np.isfinite(rows).any()
+
+
+def test_broker_vs_pilot_transforms_no_draw_of_a_deadline_batch(tmp_path, monkeypatch):
+    # at seed 1 the row sums of the raw draws cut every later generation
+    # whole: no deadline batch maps a draw, and the output is the golden's
+    cfg = resolve_config({"scenario": "broker_vs_pilot"})
+    model = ScenarioConfig.from_dict(cfg).workload.payload_model
+    _minorant(model)  # its cache fill maps the table, not the batch's draws
+    rows, mapped = [], []  # rows and draws transformed of each deadline batch
+    inside = []
+    transform = EventDurationModel.transform
+
+    def counted_transform(self, r, out=None):
+        if inside:
+            mapped[-1] += np.size(r)
+        return transform(self, r, out)
+
+    def batch(*args, deadline=math.inf, **kwargs):
+        if deadline == math.inf:
+            return job_makespans_batch(*args, deadline=deadline, **kwargs)
+        rows.append(args[0])
+        mapped.append(0)
+        inside.append(True)
+        try:
+            return job_makespans_batch(*args, deadline=deadline, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(EventDurationModel, "transform", counted_transform)
+    monkeypatch.setattr(scenarios, "job_makespans_batch", batch)
+    manifest = run_scenario(cfg, base_dir=tmp_path)
+    assert len(rows) == 67 and sum(rows) == 17_865 and mapped == [0] * 67
+    golden = json.loads((ROOT / "out" / "broker_vs_pilot" / "manifest.json").read_text())
+    assert manifest.outputs == golden["outputs"]
 
 
 @pytest.mark.parametrize("caps", [{}, {"backfill_caps": [[2147483648, 86400]]}])

@@ -18,7 +18,7 @@ from backfillsim import (BackgroundLoadProfile, IoProfile, SetupModel, SimJobSpe
                          WorkloadConfig, generate_background_jobs, job_makespans_batch,
                          stream_rng)
 from backfillsim.workload import (_GRID, EventDurationModel, _brentq, _clipped_normal_mean,
-                                  _erf, _erfc, _ndtri, _quantile_floor,
+                                  _erf, _erfc, _minorant, _ndtri, _quantile_floor,
                                   _truncated_lognormal_mean, ndtr, ndtri)
 
 from makespan_oracle import (ConstantDurationModel, SmallIntegerDurationModel, job_makespan,
@@ -333,9 +333,8 @@ def test_deadline_cuts_only_rows_that_end_after_it(n_jobs, slots, waves, seed, p
 @pytest.mark.parametrize("slots", [8, 16])
 def test_deadline_keeps_a_row_that_ends_on_it_when_its_bound_rounds_up(slots):
     # ten tasks of 0.1 s per slot end at 0.9999999999999999 s; a bound of
-    # events * 0.1 / slots computes to 1.0, the pairwise sums of the cut and
-    # of the full-sum test to the makespan itself (the next test needs the
-    # shrink for those)
+    # events * 0.1 / slots computes to 1.0, the pairwise sum of the full-sum
+    # test to the makespan itself (the next test needs the shrink for it)
     spec = SimJobSpec(events=10 * slots, slots_per_node=slots)
     model = ConstantDurationModel(0.1)
     want = job_makespan(spec, model, stream_rng(0, "ulp"))
@@ -346,9 +345,8 @@ def test_deadline_keeps_a_row_that_ends_on_it_when_its_bound_rounds_up(slots):
 
 def test_deadline_keeps_a_row_whose_summed_bound_rounds_up():
     # eight tasks of 0.1 s per slot end at 0.7999999999999999 s, while the
-    # pairwise sum of 128 tasks (or of their table floors, the same here)
-    # over 16 slots computes to 0.8000000000000002: only the shrink keeps
-    # these rows, in the cut and in the full-sum test
+    # pairwise sum of 128 tasks over 16 slots computes to 0.8000000000000002:
+    # only the shrink keeps these rows in the full-sum test
     spec = SimJobSpec(events=128, slots_per_node=16)
     model = ConstantDurationModel(0.1)
     want = job_makespan(spec, model, stream_rng(0, "ulp"))
@@ -363,7 +361,7 @@ def test_deadline_keeps_a_row_whose_summed_bound_rounds_up():
 @settings(max_examples=150, deadline=None)
 def test_deadline_keeps_exactly_the_rows_the_full_sum_test_keeps(seed, n_jobs, events, slots,
                                                                  row, step):
-    # on the payload model the table floors lie well below the tasks, so the
+    # on the payload model the minorant lies well below the tasks, so the
     # cut passes rows near the deadline and the full-sum test decides them:
     # deadlines a few floats either side of one row's full-sum bound
     spec = SimJobSpec(events=events, slots_per_node=slots)
@@ -392,16 +390,27 @@ def test_transform_of_a_block_is_bit_exact():
         assert MODEL.transform(u[rows, c0:c1]).tolist() == whole[rows, c0:c1].tolist()
 
 
+def _sampled(model, u):
+    # the per-event expression, on uniforms of the truncated CDF's range
+    return np.clip(np.exp(model.mu + model.sigma * ndtri(u)), model.lo, model.hi)
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_in_place_transform_keeps_the_bits_of_the_expression(model):
-    # the bits of clip(exp(mu + sigma * ndtri(u)), lo, hi), with the
-    # library's own ndtri, over the whole range of `uniforms` and at both ends
-    u = model.uniforms(200_000, stream_rng(9, "in-place"))
-    a, b = (ndtr((math.log(x) - model.mu) / model.sigma) for x in (model.lo, model.hi))
-    u = np.concatenate([u, [a, b, np.nextafter(a, 1), np.nextafter(b, 0)]]).reshape(-1, 4)
-    expected = np.clip(np.exp(model.mu + model.sigma * ndtri(u)), model.lo, model.hi)
-    assert model.transform(u).tolist() == expected.tolist()
-    assert model.transform(u[7:9, 1:3]).tolist() == expected[7:9, 1:3].tolist()
+    # the bits of the expression on lo + (hi - lo) * r, as numpy's `uniform`
+    # computes each draw, with the library's own ndtri: over random draws,
+    # at both ends of [0, 1] and at their float neighbours, in a new array,
+    # in a strided block and in place
+    lo, hi = model._cdf_range
+    ends = [0.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), 1.0]
+    r = np.concatenate([model.uniforms(200_000, stream_rng(9, "in-place")), ends])
+    r = r.reshape(-1, 4)
+    expected = _sampled(model, lo + (hi - lo) * r)
+    assert model.transform(r).tolist() == expected.tolist()
+    assert model.transform(r[7:9, 1:3]).tolist() == expected[7:9, 1:3].tolist()
+    x = r.copy()
+    assert model.transform(x, out=x) is x
+    assert x.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("model", MODELS + [ConstantDurationModel(0.1),
@@ -415,6 +424,50 @@ def test_quantile_floor_never_exceeds_transform(model):
                         stream_rng(12, "floor").random(200_000),
                         model.uniforms(200_000, stream_rng(12, "floor-model"))])
     assert np.all(floor[(u * _GRID).astype(np.intp)] <= model.transform(u))
+
+
+@pytest.mark.parametrize("model", MODELS + [ConstantDurationModel(0.1),
+                                            SmallIntegerDurationModel()])
+def test_minorant_lies_below_the_table_and_the_transform(model):
+    # the deadline cut's line a + b * r: at every bucket end of the table,
+    # at random draws, and summed over rows under a contention scale
+    a, b = _minorant(model)
+    assert a >= 0 and b >= 0
+    floor = _quantile_floor(model)
+    ends = np.arange(1, _GRID + 2) / _GRID
+    assert np.all(a + b * ends <= floor)
+    r = np.concatenate([ends[:-1], np.nextafter(ends[:-1], 0.0),
+                        stream_rng(13, "minorant").random(200_000)])
+    assert np.all(a + b * r <= model.transform(r))
+    scale = WORKLOAD.contention.scale(8, 16)
+    rows = r[:200_000].reshape(-1, 100)
+    cut = (100 * a + b * rows.sum(axis=1)) * scale
+    assert np.all(cut <= (model.transform(rows) * scale).sum(axis=1))
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_deadline_call_on_a_cold_minorant_matches_a_warm_one_and_the_oracle(given):
+    # filling the minorant's cache runs `transform`, and with it `ndtri`'s
+    # scratch; the batch's draws must not be there when that happens
+    spec = SimJobSpec(events=100, slots_per_node=16)
+    kwargs = dict(contention=WORKLOAD.contention, setup_s=WORKLOAD.setup_s)
+    rng = stream_rng(14, "cold")
+    rows = [job_makespan(spec, MODEL, rng, **kwargs) for _ in range(40)]
+    deadline = min(rows)  # the row that ends first ends on it
+
+    def batch():
+        u = MODEL.uniforms(40 * 100, stream_rng(14, "cold")) if given else None
+        return job_makespans_batch(40, spec, MODEL, stream_rng(14, "cold"),
+                                   deadline=deadline, uniforms=u, **kwargs).tolist()
+
+    MODEL.transform(np.zeros(2 ** 15))  # scratch larger than the cache fill needs
+    _minorant.cache_clear()
+    cold = batch()
+    assert cold == batch()
+    # rows that end in time keep the oracle's makespan; a cut row ends late
+    assert all(got == want or (got == math.inf and want > deadline)
+               for got, want in zip(cold, rows))
+    assert cold[rows.index(deadline)] == deadline and math.inf in cold
 
 
 @pytest.mark.parametrize("first, second", [(300, 300), (15, 1)])
@@ -451,15 +504,19 @@ def test_batch_of_uniforms_from_several_streams_matches_each_streams_batch(bound
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("n", [0, 1, 15, 30_007])
 def test_uniforms_carry_the_bits_of_numpys_uniform_in_a_new_array_or_a_buffer(model, n):
-    # drawn as random() * (hi - lo) + lo in place, which is how numpy's
-    # `uniform` computes each draw
-    want = stream_rng(5, "out").uniform(*model._cdf_range, size=n).tolist()
-    assert model.uniforms(n, stream_rng(5, "out")).tolist() == want
+    # the raw draws of random(), which the transform puts on the CDF's range,
+    # map to the bits of the expression on numpy's `uniform(lo, hi, n)`
+    reference = stream_rng(5, "out")
+    want = _sampled(model, reference.uniform(*model._cdf_range, size=n)).tolist()
+    assert model.transform(model.uniforms(n, stream_rng(5, "out"))).tolist() == want
+    assert model.sample(n, stream_rng(5, "out")).tolist() == want
     rng, buffer = stream_rng(5, "out"), np.full(n + 2, -1.0)
     assert model.uniforms(n, rng, out=buffer[1:n + 1]).base is buffer
+    assert buffer.tolist() == [-1.0, *stream_rng(5, "out").random(n).tolist(), -1.0]
+    model.transform(buffer[1:n + 1], out=buffer[1:n + 1])
     assert buffer.tolist() == [-1.0, *want, -1.0]
     # and leave the stream where `uniform` does
-    assert rng.random() == stream_rng(5, "out").random(n + 1)[-1]
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 @given(st.integers(0, 5000))
