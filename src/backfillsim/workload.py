@@ -649,8 +649,6 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
     """
     slots, events = spec.slots_per_node, spec.events
     scale = 1.0 if contention is None else contention.scale(slots, model.calibrated_at)
-    if deadline < math.inf:
-        a, b = _minorant(model)
     u = (model.uniforms(n_jobs * events, rng) if uniforms is None
          else uniforms).reshape(n_jobs, events)
 
@@ -664,6 +662,7 @@ def job_makespans_batch(n_jobs: int, spec: SimJobSpec, model, rng: np.random.Gen
 
     kept = None
     if deadline < math.inf:
+        a, b = _minorant(model)  # the batch holds no `_work` scratch yet
         shrink = 1.0 - 1e-12 - events * 2.0 ** -50
         bound = u.sum(axis=1)
         bound *= b
