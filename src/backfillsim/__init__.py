@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .simcore import CausalityError, SimEvent, Simulation, stream_rng
 from .scheduler import (BACKFILL, CAPABILITY, BackfillSlot, BatchJob, ClusterConfig,
-                        EasyBackfillScheduler, ReplayScheduler, SubmitError, UnknownJobError)
+                        EasyBackfillScheduler, ReplayScheduler, SubmitError)
 from .workload import (BackgroundLoadProfile, ContentionModel, EventDurationModel,
                        IoProfile, SetupModel, SimJobSpec, UnitDurationModel, WorkloadConfig,
                        generate_background_jobs, job_makespans_batch)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
-from .scheduler import BACKFILL, BatchJob, _is_count
+from .scheduler import BACKFILL, BatchJob, ClusterConfig, _is_count
 from .simcore import Simulation
 from .workload import IoProfile, SimJobSpec, WorkloadConfig, job_makespans_batch
 
@@ -80,11 +80,6 @@ class BrokerConfig:
     failure: FailureModel = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.min_nodes_per_bundle < 1:
-            raise ValueError(f"min_nodes_per_bundle must be >= 1, "
-                             f"got {self.min_nodes_per_bundle}")
-        if self.job_limit is not None and self.job_limit < 0:
-            raise ValueError(f"job_limit must be >= 0, got {self.job_limit}")
         # counts size arrays, ranges and event times
         for name in ("n_brokers", "poll_interval_s", "events_per_job", "slots_per_node",
                      "min_nodes_per_bundle", "max_nodes_per_bundle"):
@@ -112,6 +107,19 @@ class BrokerConfig:
         # sorted, so the cause order (and with it every draw) is fixed
         object.__setattr__(self, "failure", FailureModel(
             self.failure_prob, tuple(sorted(vars(self.failure_mix).items()))))
+
+
+def bundle_shape(nodes: int, walltime: int, cfg: BrokerConfig,
+                 cluster: ClusterConfig) -> Optional[tuple[int, int]]:
+    """The (nodes, walltime) of the bundle sized to a slot of `nodes` x
+    `walltime`, or None when the slot is declined: it has fewer than
+    `min_nodes_per_bundle` nodes, or its walltime, clamped to the backfill
+    band cap of the bundle's node count, falls below `min_slot_walltime_s`."""
+    if nodes < cfg.min_nodes_per_bundle:
+        return None
+    nodes = min(nodes, cfg.max_nodes_per_bundle)
+    walltime = min(walltime, cluster.cap_for(nodes, BACKFILL))
+    return (nodes, walltime) if walltime >= cfg.min_slot_walltime_s else None
 
 
 @dataclass(eq=False)
@@ -182,28 +190,20 @@ class Broker:
     def _poll(self) -> None:
         cfg = self.fleet.cfg
         slot = self.fleet.cluster.query_backfill()
-        if slot.walltime >= cfg.min_slot_walltime_s and slot.nodes >= cfg.min_nodes_per_bundle:
-            self._submit(slot)
-        else:
-            self.fleet.sim.schedule_in(cfg.poll_interval_s, "broker_repoll",
-                                       self._poll, target=self._name)
-
-    def _submit(self, slot) -> None:
-        cfg = self.fleet.cfg
-        nodes = min(slot.nodes, cfg.max_nodes_per_bundle)
         jobs_left = self.fleet.jobs_left
-        if jobs_left is not None:
-            nodes = min(nodes, jobs_left)
-            if nodes < cfg.min_nodes_per_bundle:
-                return  # other brokers took the last jobs during stage-in
-        cap = self.fleet.cluster.config.cap_for(nodes, BACKFILL)
-        walltime = min(slot.walltime, cap)
-        if walltime < cfg.min_slot_walltime_s:
-            # the clamped bundle falls into a tighter walltime band; the
-            # floor still binds, so decline and poll again
+        if jobs_left is not None and jobs_left < cfg.min_nodes_per_bundle:
+            return  # other brokers took the last jobs during stage-in
+        # a finite source caps the bundle before its band is looked up
+        nodes = slot.nodes if jobs_left is None else min(slot.nodes, jobs_left)
+        shape = bundle_shape(nodes, slot.walltime, cfg, self.fleet.cluster.config)
+        if shape is None:
             self.fleet.sim.schedule_in(cfg.poll_interval_s, "broker_repoll",
                                        self._poll, target=self._name)
-            return
+        else:
+            self._submit(*shape)
+
+    def _submit(self, nodes: int, walltime: int) -> None:
+        cfg = self.fleet.cfg
         workload = self.fleet.workload
         spec = cfg.job_spec
         if cfg.sizing_policy == "fit_walltime":
@@ -221,8 +221,8 @@ class Broker:
         self._makespans = makespans
         self._counter += 1
         self.fleet.cluster.submit(bundle)
-        if jobs_left is not None:
-            self.fleet.jobs_left = jobs_left - nodes
+        if self.fleet.jobs_left is not None:
+            self.fleet.jobs_left -= nodes
 
     def _on_end(self, bundle: Bundle) -> None:
         elapsed = bundle.end_time - bundle.start_time

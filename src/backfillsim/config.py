@@ -74,7 +74,7 @@ class CompareConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if isinstance(self.slots, bool) or not isinstance(self.slots, int) or self.slots < 0:
+        if not _is_count(self.slots, 0):
             raise ValueError(f"slots must be an integer >= 0, got {self.slots!r}")
 
 

@@ -33,12 +33,12 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .broker import BrokerFleet, MetricsPoller
+from .broker import BrokerFleet, MetricsPoller, bundle_shape
 from .config import PILOT_SCALING, ScenarioConfig, config_hash
 from .metrics import (AvailabilityLedger, month_windows,
                       total_backfill_availability, window_report, write_window_reports)
 from .pilot import AgentTimeline, OverheadModel, PilotReport, run_pilot
-from .scheduler import BACKFILL, CAPABILITY, BatchJob, EasyBackfillScheduler, ReplayScheduler
+from .scheduler import CAPABILITY, BatchJob, EasyBackfillScheduler, ReplayScheduler
 from .simcore import Simulation, stream_rng
 from .traces import emit_poll_trace, ingest_poll_trace, ingest_swf, trace_summary
 from .workload import (BackgroundLoadProfile, UnitDurationModel, generate_background_jobs,
@@ -79,11 +79,11 @@ def _feed_background(sim: Simulation, cluster: EasyBackfillScheduler,
         stream = generate_background_jobs(bg, horizon, sim.rng("background"),
                                           total_nodes=total, capability_cap_s=cap)
 
+    # the scheduler ends a job at its walltime, so its runtime may run past it
     def submit(nodes: int, runtime: int, walltime: int) -> None:
         nodes = min(nodes, total)
         walltime = min(walltime, cluster.config.cap_for(nodes, CAPABILITY))
-        runtime = min(runtime, walltime)
-        cluster.submit(BatchJob(nodes=nodes, walltime=walltime, runtime=max(1, runtime),
+        cluster.submit(BatchJob(nodes=nodes, walltime=walltime, runtime=runtime,
                                 priority_class=CAPABILITY))
 
     sim.feed((at, "capability_arrival", partial(submit, nodes, runtime, walltime))
@@ -338,11 +338,12 @@ def run_broker_vs_pilot(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     rows, chunks, chunk_rows = [], [], math.inf
     for i, (at, slot_nodes, slot_walltime) in enumerate(synthetic_slots(cfg)):
         rows.append([i, at, slot_nodes, slot_walltime])
-        if slot_nodes < b.min_nodes_per_bundle or slot_walltime < b.min_slot_walltime_s:
+        shape = bundle_shape(slot_nodes, slot_walltime, b, cfg.cluster)
+        if shape is None:
             rows[-1] += [0, 0, 0, "0.000", "0.000", 0, 0, 0]
             continue
-        nodes = min(slot_nodes, b.max_nodes_per_bundle)
-        rows[-1] += [1, nodes, min(slot_walltime, cfg.cluster.cap_for(nodes, BACKFILL))]
+        nodes, walltime = shape
+        rows[-1] += [1, nodes, walltime]
         if (chunk_rows + nodes) * events > CHUNK_UNIFORMS:
             chunks.append([])
             chunk_rows = 0

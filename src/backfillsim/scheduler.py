@@ -12,7 +12,8 @@ occupy right now without delaying the reserved head job. Submitting a
 job shaped exactly like the report is guaranteed to start immediately.
 
 Projected completions use requested walltime, the standard backfill
-assumption; jobs that finish early trigger a fresh scheduling pass.
+assumption; a job ends at `start + min(runtime, walltime)`, and one that
+ends early triggers a fresh scheduling pass.
 
 `ReplayScheduler` answers the same query from a recorded slot trace
 instead; both slot sources run jobs through one lifecycle.
@@ -39,10 +40,6 @@ def _queue_key(job: "BatchJob") -> tuple:
 
 class SubmitError(Exception):
     """Job rejected at submission (malformed or over policy caps)."""
-
-
-class UnknownJobError(Exception):
-    pass
 
 
 def _is_count(value, least: int) -> bool:
@@ -86,10 +83,10 @@ class ClusterConfig:
 class BatchJob:
     """A scheduler-visible job.
 
-    `runtime` is the actual duration when known up front (trace/background
-    jobs). Leave it None for jobs whose duration is decided by their owner
-    (bundles, pilots): the owner must call `terminate()` before the
-    walltime limit or the job is killed at `start + walltime`.
+    `runtime` is its actual duration, set by its submitter and required at
+    submission (a record built without one cannot be submitted). It runs
+    for `min(runtime, walltime)` seconds; `killed` marks a job that reached
+    its walltime.
     """
 
     nodes: int
@@ -103,7 +100,6 @@ class BatchJob:
     killed: bool = False
     on_end: Optional[Callable[["BatchJob"], None]] = field(default=None, repr=False)
     _seq: int = field(default=-1, repr=False)
-    _end_event: Optional[SimEvent] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -115,9 +111,10 @@ class BackfillSlot:
 
 class _JobLifecycle:
     """The job lifecycle both slot sources share: submission checks, id and
-    sequence assignment, start, the end event, finish and `terminate`.
-    Subclasses decide when an admitted job starts; their `_started` hook
-    runs as it starts and `_ended` just before the owner's `on_end`."""
+    sequence assignment, start, and one way to end: the `job_end` event at
+    `start + min(runtime, walltime)`. Subclasses decide when an admitted
+    job starts; their `_started` hook runs as it starts and `_ended` just
+    before the owner's `on_end`."""
 
     def __init__(self, sim: Simulation, config: ClusterConfig):
         self.sim = sim
@@ -126,16 +123,6 @@ class _JobLifecycle:
         self._queued_ids: set[str] = set()
         self.backfill_nodes_held = 0
         self._submit_counter = 0
-
-    def terminate(self, job_id: str, at: Optional[SimTime] = None) -> None:
-        """End a running job now, freeing its nodes. `at`, when given, must
-        equal the current clock (owners call this from their own handlers)."""
-        job = self.running.get(job_id)
-        if job is None:
-            raise UnknownJobError(f"job {job_id!r} is not running")
-        if at is not None and at != self.sim.now:
-            raise ValueError(f"terminate at t={at} but clock is {self.sim.now}")
-        self._finish(job)
 
     def _admit(self, job: BatchJob) -> None:
         """Check a submission against the machine and its walltime caps, then
@@ -154,8 +141,8 @@ class _JobLifecycle:
             raise SubmitError(
                 f"walltime {job.walltime}s exceeds the {cap}s cap for "
                 f"{job.nodes}-node {job.priority_class} jobs")
-        if job.runtime is not None and job.runtime < 1:
-            raise SubmitError(f"runtime must be >= 1s when given, got {job.runtime}")
+        if job.runtime is None or job.runtime < 1:
+            raise SubmitError(f"runtime must be >= 1s, got {job.runtime}")
         job_id = job.id if job.id is not None else f"job-{self._submit_counter}"
         if job_id in self.running or job_id in self._queued_ids:
             raise SubmitError(f"job id {job_id!r} is already queued or running")
@@ -169,20 +156,11 @@ class _JobLifecycle:
         if job.priority_class == BACKFILL:
             self.backfill_nodes_held += job.nodes
         self.running[job.id] = job
-        if job.runtime is not None:
-            effective = min(job.runtime, job.walltime)
-            kind = "job_end"
-        else:
-            effective = job.walltime
-            kind = "walltime_kill"
-        job._end_event = self.sim.schedule(self.sim.now + effective, kind,
-                                           lambda j=job: self._finish(j), target=job.id)
+        self.sim.schedule(self.sim.now + min(job.runtime, job.walltime), "job_end",
+                          lambda j=job: self._finish(j), target=job.id)
         self._started(job)
 
     def _finish(self, job: BatchJob) -> None:
-        if job._end_event is not None:
-            self.sim.cancel(job._end_event)
-            job._end_event = None
         del self.running[job.id]
         job.end_time = self.sim.now
         job.killed = (job.end_time - job.start_time) >= job.walltime

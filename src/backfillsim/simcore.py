@@ -47,8 +47,8 @@ class SimEvent:
     fire_at: SimTime
     seq: int
     kind: str
+    callback: Callable[[], None]
     target: Optional[str] = None
-    callback: Optional[Callable[[], None]] = None
     cancelled: bool = False
 
 
@@ -93,7 +93,7 @@ class Simulation:
         if fire_at < self.now:
             raise CausalityError(
                 f"event {kind!r} scheduled at t={fire_at} but clock is {self.now}")
-        ev = SimEvent(int(fire_at), self._seq, kind, target, callback)
+        ev = SimEvent(int(fire_at), self._seq, kind, callback, target)
         self._seq += 1
         heapq.heappush(self._queue, (ev.fire_at, ev.seq, ev))
         return ev
@@ -147,8 +147,7 @@ class Simulation:
                 if ev.cancelled:
                     continue
                 self.now = ev.fire_at
-                if ev.callback is not None:
-                    ev.callback()
+                ev.callback()
             else:
                 return self.now
 

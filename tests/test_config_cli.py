@@ -292,8 +292,9 @@ BAD_INPUTS = [
      "pilot: unit_mean_s and unit_sd_s must be finite, got inf and 19.0"),
     ({"pilot": {"unit_sd_s": math.inf}},
      "pilot: unit_mean_s and unit_sd_s must be finite, got 4650.0 and inf"),
-    ({"broker": {"min_nodes_per_bundle": 0}}, "broker: min_nodes_per_bundle must be >= 1, got 0"),
-    ({"broker": {"job_limit": -5}}, "broker: job_limit must be >= 0, got -5"),
+    ({"broker": {"min_nodes_per_bundle": 0}},
+     "broker: min_nodes_per_bundle must be an integer >= 1, got 0"),
+    ({"broker": {"job_limit": -5}}, "broker: job_limit must be an integer >= 0, got -5"),
     ({"broker": {"stage_in_base_s": -1}}, "broker: stage_in_base_s must be >= 0, got -1"),
     ({"broker": {"stage_in_per_gb_s": -40}}, "broker: stage_in_per_gb_s must be >= 0, got -40"),
     ({"broker": {"stage_out_base_s": -1}}, "broker: stage_out_base_s must be >= 0, got -1"),
@@ -321,6 +322,7 @@ BAD_INPUTS = [
     ({"broker": {"max_nodes_per_bundle": 20.5}},
      "broker: max_nodes_per_bundle must be an integer >= 1, got 20.5"),
     ({"broker": {"job_limit": 20.5}}, "broker: job_limit must be an integer >= 0, got 20.5"),
+    ({"broker": {"job_limit": "20"}}, "broker: job_limit must be an integer >= 0, got '20'"),
     ({"broker": {"stage_in_base_s": math.inf}}, "broker: stage_in_base_s must be finite, got inf"),
     ({"broker": {"stage_out_per_gb_s": math.inf}},
      "broker: stage_out_per_gb_s must be finite, got inf"),

@@ -85,6 +85,21 @@ def test_broker_vs_pilot_never_loses_core_hours(tmp_path):
         assert float(r["pilot_core_hours"]) >= float(r["broker_core_hours"])
 
 
+def test_broker_vs_pilot_declines_a_slot_whose_band_cap_falls_below_the_floor(tmp_path):
+    # bundles of up to 100 nodes are capped at 7200 s, below the 7300-s floor:
+    # the fleet declines them, so the comparison must not accept them either
+    cfg = resolve_config({"scenario": "broker_vs_pilot", "output_dir": "f",
+                          "broker": {"min_slot_walltime_s": 7300},
+                          "cluster": {"backfill_caps": [[100, 7200], [1 << 31, 86400]]}})
+    run_scenario(cfg, base_dir=tmp_path)
+    rows = read_csv(tmp_path / "f" / "broker_vs_pilot.csv")
+    accepted = [r for r in rows if r["accepted"] == "1"]
+    assert accepted
+    assert all(int(r["walltime_s"]) >= 7300 for r in accepted)
+    assert any(r["accepted"] == "0" and int(r["slot_nodes"]) >= 15
+               and int(r["slot_walltime_s"]) >= 7300 for r in rows)
+
+
 def test_benchmark_tracer_counts_the_pilot_units_done(tmp_path):
     # perfbench's tracer counts the DONE units of each timeline it sees
     # finalized; a dropped finalize() or a renamed state would zero it

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import backfillsim
 from backfillsim import (BACKFILL, CAPABILITY, BatchJob, ClusterConfig,
                          EasyBackfillScheduler, ReplayScheduler, Simulation,
-                         SubmitError, UnknownJobError)
+                         SubmitError)
 from backfillsim.metrics import PollRecord
 from backfillsim.scheduler import _queue_key
 
@@ -56,7 +56,8 @@ def test_walltime_over_band_cap_rejected():
                         capability_caps=((100, 86400),))
     for sched in both_sources(cfg):
         with pytest.raises(SubmitError):
-            sched.submit(BatchJob(nodes=10, walltime=7201, priority_class=BACKFILL))
+            sched.submit(BatchJob(nodes=10, walltime=7201, runtime=100,
+                                  priority_class=BACKFILL))
         # same shape is fine at capability priority
         sched.submit(BatchJob(nodes=10, walltime=7201, runtime=100,
                               priority_class=CAPABILITY))
@@ -67,6 +68,18 @@ def test_unknown_priority_class_rejected():
         with pytest.raises(SubmitError, match="priority class"):
             sched.submit(BatchJob(nodes=1, walltime=100, runtime=100,
                                   priority_class="urgent"))
+        assert (sched.running, sched.backfill_nodes_held) == ({}, 0)
+
+
+@pytest.mark.parametrize("runtime", [None, 0, -1])
+def test_missing_or_nonpositive_runtime_rejected_before_any_state_changes(runtime):
+    for sched in both_sources(UNCAPPED):
+        with pytest.raises(SubmitError, match="runtime must be >= 1s"):
+            sched.submit(BatchJob(nodes=2, walltime=100, runtime=runtime,
+                                  priority_class=BACKFILL, id="bad"))
+        assert (sched.running, getattr(sched, "queue", []), sched.backfill_nodes_held) \
+            == ({}, [], 0)
+        sched.sim.run()
         assert (sched.running, sched.backfill_nodes_held) == ({}, 0)
 
 
@@ -153,30 +166,6 @@ def test_walltime_limit_kills_job():
     sim.run()
     assert job.end_time == 50
     assert job.killed
-
-
-def test_terminate_unknown_job_raises():
-    sim, sched = make()
-    with pytest.raises(UnknownJobError):
-        sched.terminate("nope")
-
-
-def test_owner_terminated_job_counts_walltime_kill_only_at_limit():
-    sim, sched = make()
-    job = BatchJob(nodes=2, walltime=100, runtime=None, id="owned")
-    sched.submit(job)
-    sim.run_until(0)
-    sim.schedule(30, "stop", lambda: sched.terminate("owned"))
-    sim.run_until(30)
-    assert job.end_time == 30 and not job.killed
-
-
-def test_unattended_runtime_none_job_killed_at_walltime():
-    sim, sched = make()
-    job = BatchJob(nodes=2, walltime=100, runtime=None)
-    sched.submit(job)
-    sim.run()
-    assert job.end_time == 100 and job.killed
 
 
 def test_capacity_respected_under_load():
@@ -284,9 +273,10 @@ def test_reported_slot_always_starts_immediately():
 
 
 class EasyMachine(RuleBasedStateMachine):
-    """Random submissions, early owner terminations, clock advances and slot
-    probes on a small strict-checked cluster. Early `terminate` is the path
-    the oracle comparison above never takes."""
+    """Random submissions, clock advances and slot probes on a small
+    strict-checked cluster. Jobs that run to their walltime, and probes that
+    take a reported slot whole, are killed at `start + walltime`; jobs whose
+    runtime is shorter end early."""
 
     def __init__(self):
         super().__init__()
@@ -296,7 +286,6 @@ class EasyMachine(RuleBasedStateMachine):
                                     backfill_caps=((1 << 31, 1 << 30),),
                                     capability_caps=((1 << 31, 1 << 30),)),
             strict_checks=True)
-        self.owned: list[BatchJob] = []  # runtime=None: ended by terminate or walltime
 
     @rule(nodes=st.integers(1, 6), walltime=st.integers(1, 60),
           runtime=st.integers(1, 80), backfill=st.booleans())
@@ -305,21 +294,9 @@ class EasyMachine(RuleBasedStateMachine):
                                    priority_class=BACKFILL if backfill else CAPABILITY))
 
     @rule(nodes=st.integers(1, 6), walltime=st.integers(1, 60), backfill=st.booleans())
-    def submit_owned(self, nodes, walltime, backfill):
-        job = BatchJob(nodes=nodes, walltime=walltime, runtime=None,
-                       priority_class=BACKFILL if backfill else CAPABILITY)
-        self.sched.submit(job)
-        self.owned.append(job)
-
-    def _owned_running(self):
-        return [j for j in self.owned if j.id in self.sched.running]
-
-    @precondition(lambda self: self._owned_running())
-    @rule(data=st.data())
-    def terminate_early(self, data):
-        job = data.draw(st.sampled_from(self._owned_running()))
-        self.sched.terminate(job.id, at=self.sim.now)
-        assert job.end_time == self.sim.now
+    def submit_to_walltime(self, nodes, walltime, backfill):
+        self.sched.submit(BatchJob(nodes=nodes, walltime=walltime, runtime=walltime,
+                                   priority_class=BACKFILL if backfill else CAPABILITY))
 
     @rule(dt=st.integers(0, 30))
     def advance_clock(self, dt):
@@ -330,10 +307,9 @@ class EasyMachine(RuleBasedStateMachine):
         slot = self.sched.query_backfill()
         if slot.nodes == 0:
             return
-        probe = BatchJob(nodes=slot.nodes, walltime=slot.walltime, runtime=None,
+        probe = BatchJob(nodes=slot.nodes, walltime=slot.walltime, runtime=slot.walltime,
                          priority_class=BACKFILL)
         self.sched.submit(probe)
-        self.owned.append(probe)
         self.sim.run_until(self.sim.now)
         assert probe.start_time == slot.observed_at, (slot, self.sched.queue)
 
@@ -384,18 +360,6 @@ def test_replay_submissions_start_immediately():
     replay.submit(job)
     sim.run()
     assert (job.start_time, job.end_time, job.killed) == (0, 50, False)
-
-
-def test_terminate_rejects_mismatched_time():
-    for sched in both_sources(UNCAPPED):
-        job = BatchJob(nodes=1, walltime=100, runtime=None, id="j")
-        sched.submit(job)
-        sched.sim.run_until(0)
-        with pytest.raises(ValueError):
-            sched.terminate("j", at=50)
-        assert list(sched.running) == ["j"]
-        sched.terminate("j", at=0)
-        assert (sched.running, job.end_time, job.killed) == ({}, 0, False)
 
 
 def test_duplicate_job_id_rejected_before_any_state_changes():
