@@ -11,7 +11,7 @@ fleet against it, and round-trips an SWF file.
 
 from pathlib import Path
 
-from backfillsim import (PollRecord, ScenarioConfig, TraceJob, emit_poll_trace, emit_swf,
+from backfillsim import (ScenarioConfig, TraceJob, emit_poll_trace, emit_swf,
                          ingest_poll_trace, ingest_swf, resolve_config, run_scenario,
                          synthetic_slots, trace_summary)
 
@@ -21,9 +21,8 @@ out.mkdir(exist_ok=True)
 # A synthetic slot trace fit to the production availability distribution.
 cfg = ScenarioConfig.from_dict(
     resolve_config({"scenario": "broker_vs_pilot", "compare": {"slots": 2000}}))
-records = [PollRecord(t, n, w) for t, n, w in synthetic_slots(cfg)]
 trace_path = out / "synthetic_slots.csv"
-emit_poll_trace(trace_path, records)
+emit_poll_trace(trace_path, synthetic_slots(cfg))
 stats = trace_summary(ingest_poll_trace(trace_path))
 print(f"{trace_path}: {stats['count']} polls, mean nodes {stats['mean_nodes']:.0f}, "
       f"mean walltime {stats['mean_walltime_s']/60:.0f} min")

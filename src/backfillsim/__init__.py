@@ -4,8 +4,8 @@ multi-generation pilot runtimes on a leadership-class batch cluster."""
 __version__ = "0.1.0"
 
 from .simcore import CausalityError, SimEvent, Simulation, stream_rng
-from .scheduler import (BACKFILL, CAPABILITY, BackfillSlot, BatchJob, ClusterConfig,
-                        EasyBackfillScheduler, ReplayScheduler, SubmitError)
+from .scheduler import (BACKFILL, CAPABILITY, BatchJob, ClusterConfig, EasyBackfillScheduler,
+                        ReplayScheduler, SubmitError)
 from .workload import (BackgroundLoadProfile, ContentionModel, EventDurationModel,
                        IoProfile, SetupModel, SimJobSpec, UnitDurationModel, WorkloadConfig,
                        generate_background_jobs, job_makespans_batch)

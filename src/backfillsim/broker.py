@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import metrics
 from .scheduler import BACKFILL, BatchJob, ClusterConfig, _is_count
 from .simcore import Simulation
 from .workload import IoProfile, SimJobSpec, WorkloadConfig, job_makespans_batch
@@ -279,13 +278,12 @@ class MetricsPoller:
         self.sim = sim
         self.cluster = cluster
         self.interval_s = interval_s
-        self.polls: list[metrics.PollRecord] = []
+        self.polls = []  # one `PollRecord` per poll, as `query_backfill` returns it
 
     def start(self, at: int = 0) -> None:
         self.sim.schedule(at, "metrics_poll", self._poll, target="metrics-poller")
 
     def _poll(self) -> None:
-        slot = self.cluster.query_backfill()
-        self.polls.append(metrics.PollRecord(self.sim.now, slot.nodes, slot.walltime))
+        self.polls.append(self.cluster.query_backfill())
         self.sim.schedule_in(self.interval_s, "metrics_poll", self._poll,
                              target="metrics-poller")

@@ -119,8 +119,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer")
+        # numpy's SeedSequence takes non-negative integers only
+        if not _is_count(self.seed, 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         # runners simulate int(horizon_days * 86400) seconds
         if not (isinstance(self.horizon_days, (int, float))
                 and int(self.horizon_days * 86400) >= 1):

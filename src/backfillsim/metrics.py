@@ -19,18 +19,17 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class PollRecord:
+class PollRecord(NamedTuple):
+    """One backfill slot: `nodes` free for `walltime` seconds, as observed at
+    `observed_at`; the live query's answer, a poll-ledger entry and a row of
+    `slots.csv` alike."""
+
     observed_at: int
     nodes: int
     walltime: int
-
-    def __post_init__(self):
-        if self.observed_at < 0 or self.nodes < 0 or self.walltime < 0:
-            raise ValueError(f"negative field in poll record {self}")
 
 
 @dataclass

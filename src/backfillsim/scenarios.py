@@ -35,7 +35,7 @@ import yaml
 from . import __version__
 from .broker import BrokerFleet, MetricsPoller, bundle_shape
 from .config import PILOT_SCALING, ScenarioConfig, config_hash
-from .metrics import (AvailabilityLedger, month_windows,
+from .metrics import (AvailabilityLedger, PollRecord, month_windows,
                       total_backfill_availability, window_report, write_window_reports)
 from .pilot import AgentTimeline, OverheadModel, PilotReport, run_pilot
 from .scheduler import CAPABILITY, BatchJob, EasyBackfillScheduler, ReplayScheduler
@@ -69,15 +69,16 @@ def _feed_background(sim: Simulation, cluster: EasyBackfillScheduler,
     """Feed the capability jobs of the background load to `sim` in submit
     order; each `BatchJob` is built only when its arrival fires."""
     total = cluster.config.total_nodes
-    cap = cluster.config.cap_for(total, CAPABILITY)
     if bg.trace_path is not None:
         # `ingest_swf` keeps file order; a stable sort keeps it among equal submits
         stream = sorted(((j.submit, j.nodes, j.runtime, j.walltime)
                          for j in ingest_swf(bg.trace_path) if j.submit < horizon),
                         key=itemgetter(0))
     else:
+        # `submit` clamps each walltime to its own band, so the stream gets the longest cap
+        longest = max(cap for _, cap in cluster.config.capability_caps)
         stream = generate_background_jobs(bg, horizon, sim.rng("background"),
-                                          total_nodes=total, capability_cap_s=cap)
+                                          total_nodes=total, capability_cap_s=longest)
 
     # the scheduler ends a job at its walltime, so its runtime may run past it
     def submit(nodes: int, runtime: int, walltime: int) -> None:
@@ -261,8 +262,8 @@ def run_pilot_scaling(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 # -- broker versus pilot over one slot sequence ----------------------------------
 
 
-def synthetic_slots(cfg: ScenarioConfig) -> list[tuple[int, int, int]]:
-    """(observed_at, nodes, walltime) slot sequence from the compare block."""
+def synthetic_slots(cfg: ScenarioConfig) -> list[PollRecord]:
+    """The slot sequence of the compare block, one `PollRecord` per slot."""
     c = cfg.compare
     rng = stream_rng(cfg.seed, "compare-slots")
     total = cfg.cluster.total_nodes
@@ -276,7 +277,7 @@ def synthetic_slots(cfg: ScenarioConfig) -> list[tuple[int, int, int]]:
                         total))
         walltime = int(min(max(math.exp(mu_w + c.slot_walltime_sigma
                                         * rng.standard_normal()), 60), 86400))
-        slots.append((i * c.slot_interval_s, nodes, walltime))
+        slots.append(PollRecord(i * c.slot_interval_s, nodes, walltime))
     return slots
 
 

@@ -25,6 +25,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
+from .metrics import PollRecord
 from .simcore import SimEvent, SimTime, Simulation
 
 CAPABILITY = "capability"
@@ -67,9 +68,14 @@ class ClusterConfig:
             bands = getattr(self, name)
             if not bands:
                 raise ValueError(f"{name} must list at least one [max_nodes, cap_s] band")
-            if any(len(band) != 2 or band[1] <= 0 for band in bands):
-                raise ValueError(f"{name} entries must be [max_nodes, cap_s] with cap_s > 0")
-            object.__setattr__(self, name, tuple((int(n), int(cap)) for n, cap in bands))
+            for band in bands:
+                if not isinstance(band, (list, tuple)) or len(band) != 2:
+                    raise ValueError(f"{name} entries must be max_nodes, cap_s pairs, "
+                                     f"got {band!r}")
+                if not all(_is_count(value, 1) for value in band):
+                    raise ValueError(f"{name} entries must be integers >= 1, got "
+                                     f"max_nodes {band[0]!r}, cap_s {band[1]!r}")
+            object.__setattr__(self, name, tuple(tuple(band) for band in bands))
 
     def cap_for(self, nodes: int, priority_class: str) -> int:
         bands = self.backfill_caps if priority_class == BACKFILL else self.capability_caps
@@ -100,13 +106,6 @@ class BatchJob:
     killed: bool = False
     on_end: Optional[Callable[["BatchJob"], None]] = field(default=None, repr=False)
     _seq: int = field(default=-1, repr=False)
-
-
-@dataclass(frozen=True)
-class BackfillSlot:
-    nodes: int
-    walltime: int
-    observed_at: SimTime
 
 
 class _JobLifecycle:
@@ -199,7 +198,7 @@ class EasyBackfillScheduler(_JobLifecycle):
         self._request_pass()
         return job.id
 
-    def query_backfill(self) -> BackfillSlot:
+    def query_backfill(self) -> PollRecord:
         """Report the backfill slot available right now.
 
         Returns the rectangle maximizing nodes first, then walltime: all
@@ -211,12 +210,12 @@ class EasyBackfillScheduler(_JobLifecycle):
         idle = self.free_nodes
         now = self.sim.now
         if idle == 0:
-            return BackfillSlot(0, 0, now)
+            return PollRecord(now, 0, 0)
         cap = self.config.cap_for(idle, BACKFILL)
         start, extra = self._reservation()
         if start is None or extra >= idle:
-            return BackfillSlot(idle, cap, now)
-        return BackfillSlot(idle, min(start - now, cap), now)
+            return PollRecord(now, idle, cap)
+        return PollRecord(now, idle, min(start - now, cap))
 
     def schedule_pass(self) -> list[BatchJob]:
         """Run one EASY pass immediately; returns jobs dispatched by it."""
@@ -334,7 +333,8 @@ class EasyBackfillScheduler(_JobLifecycle):
 class ReplayScheduler(_JobLifecycle):
     """Slot source driven by a recorded poll trace instead of a live queue.
 
-    Each `query_backfill()` returns the next trace record verbatim.
+    Each `query_backfill()` returns the next trace record itself, and an
+    empty slot at the current time once the trace is used up.
     Submitted jobs pass the live scheduler's checks and start immediately
     (the premise of the slot report); they are not capacity-checked
     against each other, since this mode exists to replay recorded
@@ -346,16 +346,11 @@ class ReplayScheduler(_JobLifecycle):
         self.records = list(records)
         self.cursor = 0
 
-    @property
-    def exhausted(self) -> bool:
-        return self.cursor >= len(self.records)
-
-    def query_backfill(self) -> BackfillSlot:
-        if self.exhausted:
-            return BackfillSlot(0, 0, self.sim.now)
-        rec = self.records[self.cursor]
+    def query_backfill(self) -> PollRecord:
+        if self.cursor == len(self.records):
+            return PollRecord(self.sim.now, 0, 0)
         self.cursor += 1
-        return BackfillSlot(rec.nodes, rec.walltime, self.sim.now)
+        return self.records[self.cursor - 1]
 
     def submit(self, job: BatchJob) -> str:
         self._admit(job)

@@ -71,8 +71,7 @@ def emit_poll_trace(path, records) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp_s", "nodes", "walltime_s"])
-        for r in records:
-            writer.writerow([r.observed_at, r.nodes, r.walltime])
+        writer.writerows(records)
 
 
 def trace_summary(records) -> dict:

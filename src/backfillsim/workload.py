@@ -722,9 +722,6 @@ class UnitDurationModel:
         hi = self.mean_s + 4 * self.sd_s
         return np.clip(rng.normal(self.mean_s, self.sd_s, size=n), lo, hi)
 
-    def mean(self) -> float:
-        return self.mean_s
-
 
 # ---------------------------------------------------------------------------
 # background capability load
@@ -815,7 +812,9 @@ def generate_background_jobs(profile: BackgroundLoadProfile, horizon_s: int,
     """Yield (submit_time, nodes, runtime, walltime) tuples over the horizon.
 
     The Poisson arrival rate is chosen so offered load matches the target
-    utilization: rate * E[nodes] * E[runtime] == target * total_nodes.
+    utilization: rate * E[nodes] * E[runtime] == target * total_nodes. A
+    walltime is at most `capability_cap_s`, and a runtime may exceed it:
+    the scheduler ends a job at its walltime.
     """
     u = profile.target_utilization
     if not u:
@@ -849,5 +848,4 @@ def generate_background_jobs(profile: BackgroundLoadProfile, horizon_s: int,
                               profile.runtime_min_s), profile.runtime_max_s))
         factor = wall_lo + (wall_hi - wall_lo) * rng.random()
         walltime = min(int(math.ceil(runtime * factor)), capability_cap_s)
-        runtime = min(runtime, walltime)
         yield int(t), nodes, runtime, walltime

@@ -44,7 +44,7 @@ def test_slot_below_walltime_floor_is_declined_and_repolled():
     sim.run_until(80_000)
     assert len(fleet.bundles) == 1
     assert fleet.bundles[0].walltime == 6300
-    assert cluster.exhausted  # two declines consumed two extra polls
+    assert cluster.cursor == len(cluster.records)  # two declines consumed two extra polls
 
 
 def test_walltime_floor_survives_band_capping():

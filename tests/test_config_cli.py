@@ -253,6 +253,25 @@ BAD_INPUTS = [
      "start_date must be an ISO date string such as '2016-01-01', got datetime.date"),
     ({"cluster": {"backfill_caps": []}}, "cluster: backfill_caps must list at least one"),
     ({"cluster": {"capability_caps": []}}, "cluster: capability_caps must list at least one"),
+    # these once ran with the bands cast to int (a NaN or inf failed naming no key)
+    ({"cluster": {"backfill_caps": [[3749, 7200.5]]}},
+     "cluster: backfill_caps entries must be integers >= 1, got max_nodes 3749, cap_s 7200.5"),
+    ({"cluster": {"capability_caps": [[1.5, 7200]]}},
+     "cluster: capability_caps entries must be integers >= 1, got max_nodes 1.5, cap_s 7200"),
+    ({"cluster": {"backfill_caps": [[3749, math.nan]]}},
+     "cluster: backfill_caps entries must be integers >= 1, got max_nodes 3749, cap_s nan"),
+    ({"cluster": {"capability_caps": [[math.inf, 86400]]}},
+     "cluster: capability_caps entries must be integers >= 1, got max_nodes inf, cap_s 86400"),
+    ({"cluster": {"backfill_caps": [[0, 7200]]}},
+     "cluster: backfill_caps entries must be integers >= 1, got max_nodes 0, cap_s 7200"),
+    ({"cluster": {"backfill_caps": [[3749, 0]]}},
+     "cluster: backfill_caps entries must be integers >= 1, got max_nodes 3749, cap_s 0"),
+    ({"cluster": {"backfill_caps": [[3749]]}},
+     "cluster: backfill_caps entries must be max_nodes, cap_s pairs"),
+    # -1 once validated and then failed inside numpy's SeedSequence mid-run
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
     ({"background": {"walltime_factor_lo": 2.5}},
      "background: walltime_factor_lo 2.5 must be <= walltime_factor_hi 2.0"),
     ({"background": {"walltime_factor_lo": 0}},

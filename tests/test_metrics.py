@@ -14,11 +14,6 @@ def finished_bundle(nodes, start, end, done=0, failed=0, events=100):
                   end_time=end, payloads_done=done, failures={"payload": failed})
 
 
-def test_record_validation():
-    with pytest.raises(ValueError):
-        PollRecord(0, -1, 10)
-
-
 def test_no_polls_is_zero_availability():
     assert total_backfill_availability([], (0, 3600), 16) == 0.0
 

@@ -453,3 +453,24 @@ def test_background_arrivals_are_fed_not_scheduled():
     assert len(arrivals) == cluster._submit_counter > 0
     assert arrivals == sorted(arrivals)  # in submit order
     assert all(ev.kind != "capability_arrival" for _, _, ev in sim._queue)
+
+
+def test_background_walltimes_take_the_cap_of_their_own_band():
+    # narrow jobs may run longer than wide ones; the stream once got the cap
+    # of a machine-wide job, which clamped 1-node jobs to 43,200 s too
+    tree = ScenarioConfig.from_dict(resolve_config({
+        "scenario": "efficiency",
+        "cluster": {"capability_caps": [[1000, 86400], [2147483648, 43200]]}}))
+    sim = Simulation(seed=1)
+    cluster = EasyBackfillScheduler(sim, tree.cluster)
+    submit, jobs = cluster.submit, []
+
+    def recording_submit(job):
+        jobs.append(job)
+        return submit(job)
+
+    cluster.submit = recording_submit
+    scenarios._feed_background(sim, cluster, tree.background, 86400)
+    sim.run_until(3600)
+    assert any(j.nodes <= 1000 and j.walltime > 43200 for j in jobs)
+    assert all(j.walltime <= 43200 for j in jobs if j.nodes > 1000)

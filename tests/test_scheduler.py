@@ -347,10 +347,12 @@ def test_replay_returns_trace_records_verbatim():
     sim = Simulation()
     records = [PollRecord(0, 691, 7560), PollRecord(60, 12, 900), PollRecord(120, 0, 0)]
     replay = ReplayScheduler(sim, records)
-    assert (replay.query_backfill().nodes, replay.query_backfill().nodes) == (691, 12)
-    assert replay.query_backfill().walltime == 0
-    assert replay.exhausted
-    assert replay.query_backfill().nodes == 0  # exhausted trace reports nothing
+    assert all(replay.query_backfill() is rec for rec in records)
+    assert replay.cursor == len(records)
+    sim.schedule(500, "tick", lambda: None)
+    sim.run_until(500)
+    # an exhausted trace reports an empty slot at the current time
+    assert replay.query_backfill() == PollRecord(500, 0, 0)
 
 
 def test_replay_submissions_start_immediately():

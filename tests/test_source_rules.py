@@ -60,3 +60,36 @@ def test_perfbench_tracer_finds_every_name_it_patches(monkeypatch):
     import spans
     with spans.Tracer().install():
         pass
+
+
+
+def _names_read(path):
+    # the names a file reads, attribute names and string constants (a
+    # `getattr` or a patch target) included
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_library_has_no_code_that_only_tests_call():
+    # every function, method and class the library defines is read somewhere
+    # other than tests: in the library, a demo, a script or the benchmark.
+    # The package's re-exports and the benchmark's own tests do not count
+    library = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    others = [path for folder in ("demos", "scripts", "perfbench")
+              for path in sorted((ROOT / folder).glob("*.py"))
+              if not path.name.startswith("test_")]
+    read = set().union(*map(_names_read, library + others))
+    found = [f"{path.name}:{node.lineno} {node.name}"
+             for path in library
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and not (node.name.startswith("__") and node.name.endswith("__"))
+             and node.name not in read]
+    assert found == []
