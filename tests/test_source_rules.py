@@ -62,7 +62,6 @@ def test_perfbench_tracer_finds_every_name_it_patches(monkeypatch):
         pass
 
 
-
 def _names_read(path):
     # the names a file reads, attribute names and string constants (a
     # `getattr` or a patch target) included
