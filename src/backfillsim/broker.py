@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
-from .scheduler import BACKFILL, BatchJob, ClusterConfig, _is_count
+from .domains import Checked, Count, NonNegative, NonNegativeInt, Probability
+from .scheduler import BACKFILL, BatchJob, ClusterConfig
 from .simcore import Simulation
 from .workload import IoProfile, SimJobSpec, WorkloadConfig, job_makespans_batch
 
@@ -34,78 +35,53 @@ class FailureModel:
     failure_prob: float
     failure_mix: tuple[tuple[str, float], ...]
 
-    def __post_init__(self):
-        if not 0 <= self.failure_prob <= 1:
-            raise ValueError(f"failure_prob must be in [0, 1], got {self.failure_prob}")
-        for name, share in self.failure_mix:  # NaN passes the sum check below
-            if not 0 <= share <= 1:
-                raise ValueError(f"failure_mix.{name} must be between 0 and 1, got {share}")
-        total = sum(w for _, w in self.failure_mix)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"failure_mix must sum to 1, got {total}")
-
 
 @dataclass(frozen=True)
-class FailureMix:
+class FailureMix(Checked):
     """Shares of failed payloads by cause: the `broker.failure_mix` keys."""
 
-    broker: float = 0.19
-    dispatcher: float = 0.29
-    payload: float = 0.13
-    other: float = 0.39
+    broker: Probability = 0.19
+    dispatcher: Probability = 0.29
+    payload: Probability = 0.13
+    other: Probability = 0.39
 
 
 @dataclass(frozen=True)
-class BrokerConfig:
+class BrokerConfig(Checked):
     """The `broker` config section. Construction checks the bundle shape
     and builds the payload spec and failure model from it."""
 
-    n_brokers: int = 20
-    min_slot_walltime_s: int = 6300
-    events_per_job: int = 100
-    max_nodes_per_bundle: int = 300
-    min_nodes_per_bundle: int = 15
-    poll_interval_s: int = 540
-    slots_per_node: int = 16
-    sizing_policy: str = "fixed"  # "fixed" or "fit_walltime"
-    job_limit: Optional[int] = None  # finite job source when set
-    stage_in_base_s: float = 300.0
-    stage_in_per_gb_s: float = 40.0
-    stage_out_base_s: float = 300.0
-    stage_out_per_gb_s: float = 40.0
-    failure_prob: float = 0.136
+    n_brokers: Count = 20
+    # a NaN or infinite floor declines every slot, so the fleet never submits
+    min_slot_walltime_s: NonNegative = 6300
+    events_per_job: Count = 100
+    max_nodes_per_bundle: Count = 300
+    min_nodes_per_bundle: Count = 15
+    poll_interval_s: Count = 540
+    slots_per_node: Literal[8, 16] = 16
+    sizing_policy: Literal["fixed", "fit_walltime"] = "fixed"
+    job_limit: Optional[NonNegativeInt] = None  # finite job source when set
+    stage_in_base_s: NonNegative = 300.0  # the transfer time is an int
+    stage_in_per_gb_s: NonNegative = 40.0
+    stage_out_base_s: NonNegative = 300.0
+    stage_out_per_gb_s: NonNegative = 40.0
+    failure_prob: Probability = 0.136
     failure_mix: FailureMix = field(default_factory=FailureMix)
     job_spec: SimJobSpec = field(init=False, repr=False)
     failure: FailureModel = field(init=False, repr=False)
 
     def __post_init__(self):
-        # counts size arrays, ranges and event times
-        for name in ("n_brokers", "poll_interval_s", "events_per_job", "slots_per_node",
-                     "min_nodes_per_bundle", "max_nodes_per_bundle"):
-            if not _is_count(getattr(self, name), 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
-        if not (self.job_limit is None or _is_count(self.job_limit, 0)):
-            raise ValueError(f"job_limit must be an integer >= 0, got {self.job_limit!r}")
-        # a NaN or infinite floor declines every slot, so the fleet never submits
-        if not 0 <= self.min_slot_walltime_s < math.inf:
-            raise ValueError(f"min_slot_walltime_s must be finite and >= 0, "
-                             f"got {self.min_slot_walltime_s}")
+        super().__post_init__()
         if self.min_nodes_per_bundle > self.max_nodes_per_bundle:
             raise ValueError("min_nodes_per_bundle must not exceed max_nodes_per_bundle")
-        for name in ("stage_in_base_s", "stage_in_per_gb_s", "stage_out_base_s",
-                     "stage_out_per_gb_s"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-            if getattr(self, name) == math.inf:  # the transfer time is an int
-                raise ValueError(f"{name} must be finite, got inf")
-        if self.sizing_policy not in ("fixed", "fit_walltime"):
-            raise ValueError("sizing_policy must be 'fixed' or 'fit_walltime', "
-                             f"got {self.sizing_policy!r}")
+        # sorted, so the cause order (and with it every draw) is fixed
+        mix = tuple(sorted(vars(self.failure_mix).items()))
+        total = sum(share for _, share in mix)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"failure_mix must sum to 1, got {total}")
         object.__setattr__(self, "job_spec",
                            SimJobSpec(self.events_per_job, self.slots_per_node))
-        # sorted, so the cause order (and with it every draw) is fixed
-        object.__setattr__(self, "failure", FailureModel(
-            self.failure_prob, tuple(sorted(vars(self.failure_mix).items()))))
+        object.__setattr__(self, "failure", FailureModel(self.failure_prob, mix))
 
 
 def bundle_shape(nodes: int, walltime: int, cfg: BrokerConfig,

@@ -2,9 +2,12 @@
 
 `ScenarioConfig` and its sections (`ClusterConfig`, `BackgroundLoadProfile`,
 `WorkloadConfig`, `BrokerConfig`, `PilotConfig`, ...) define every key
-once: the field name is the YAML key, the field default is the key's
-default, and the section's constructor holds its checks. `DEFAULTS`,
-`print-defaults` and unknown-key detection are derived from the tree.
+once, in one field: its name is the YAML key, its default the key's
+default, and its annotation the key's domain (`domains`), which each
+section checks first on construction. A section's own constructor holds
+only rules that relate keys to one another and the fits of derived models.
+`DEFAULTS`, `print-defaults` and unknown-key detection are derived from
+the tree.
 
 A scenario file sets only the knobs it changes; `extends: other.yaml`
 pulls in another file first (recursively). `resolve_config` layers
@@ -16,17 +19,18 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Optional
+from typing import Annotated, Literal, Optional
 
 import yaml
 
 from .broker import BrokerConfig
+from .domains import (Checked, Count, Domain, NonNegative, NonNegativeInt, Positive, Text,
+                      real)
 from .pilot import PilotConfig
-from .scheduler import ClusterConfig, _is_count
+from .scheduler import ClusterConfig
 from .workload import BackgroundLoadProfile, WorkloadConfig
 
 # Broker fleets on a live EASY cluster over background load, and pilots
@@ -53,60 +57,55 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class CompareConfig:
+class CompareConfig(Checked):
     """Broker-versus-pilot consumption over one shared slot sequence."""
 
-    slots: int = 150
-    slot_nodes_mean: float = 691.0
-    slot_nodes_sigma: float = 0.9
-    slot_walltime_mean_s: float = 7560.0
-    slot_walltime_sigma: float = 0.7
-    slot_interval_s: int = 600
-
-    def __post_init__(self):
-        # a NaN or infinite lognormal parameter draws NaN slots, and an
-        # infinite interval puts NaN into the first observed_at (0 * inf)
-        for name in ("slot_nodes_mean", "slot_walltime_mean_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        for name in ("slot_nodes_sigma", "slot_walltime_sigma", "slot_interval_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not _is_count(self.slots, 0):
-            raise ValueError(f"slots must be an integer >= 0, got {self.slots!r}")
+    # a NaN or infinite lognormal parameter draws NaN slots, and an
+    # infinite interval puts NaN into the first observed_at (0 * inf)
+    slots: NonNegativeInt = 150
+    slot_nodes_mean: Positive = 691.0
+    slot_nodes_sigma: NonNegative = 0.9
+    slot_walltime_mean_s: Positive = 7560.0
+    slot_walltime_sigma: NonNegative = 0.7
+    slot_interval_s: NonNegative = 600
 
 
 @dataclass(frozen=True)
-class ReplayConfig:
-    trace_path: Optional[str] = None  # poll trace driving a replay run
+class ReplayConfig(Checked):
+    trace_path: Optional[Text] = None  # poll trace driving a replay run
 
 
 @dataclass(frozen=True)
-class MetricsConfig:
-    poll_interval_s: int = 60
-    availability_credit: str = "rate"  # or "walltime"
+class MetricsConfig(Checked):
+    # the poller reschedules itself with `schedule_in`, which takes whole seconds
+    poll_interval_s: Count = 60
+    availability_credit: Literal["rate", "walltime"] = "rate"
 
-    def __post_init__(self):
-        # the poller reschedules itself with `schedule_in`, which takes whole seconds
-        if not _is_count(self.poll_interval_s, 1):
-            raise ValueError(f"poll_interval_s must be an integer >= 1, "
-                             f"got {self.poll_interval_s!r}")
-        if self.availability_credit not in ("rate", "walltime"):
-            raise ValueError("availability_credit must be 'rate' or 'walltime', "
-                             f"got {self.availability_credit!r}")
+
+def _is_iso_date(value) -> bool:
+    # parsed as month_windows parses it; an unquoted YAML date loads as a date
+    try:
+        datetime.fromisoformat(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+# runners simulate int(horizon_days * 86400) seconds
+Horizon = Annotated[float, real("a finite number of days covering at least one second",
+                                lambda days: days * 86400 >= 1)]
+IsoDate = Annotated[str, Domain("an ISO date string such as '2016-01-01'", _is_iso_date)]
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Checked):
     """A whole scenario: run settings plus one section per model."""
 
-    scenario: str = "efficiency"
-    seed: int = 1
-    horizon_days: float = 30
-    start_date: str = "2016-01-01"
-    output_dir: str = "out"
+    scenario: Literal[SCENARIOS] = "efficiency"
+    seed: NonNegativeInt = 1  # numpy's SeedSequence takes non-negative integers only
+    horizon_days: Horizon = 30
+    start_date: IsoDate = "2016-01-01"
+    output_dir: Text = "out"
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     background: BackgroundLoadProfile = field(default_factory=BackgroundLoadProfile)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
@@ -117,22 +116,7 @@ class ScenarioConfig:
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        # numpy's SeedSequence takes non-negative integers only
-        if not _is_count(self.seed, 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        # runners simulate int(horizon_days * 86400) seconds
-        if not (isinstance(self.horizon_days, (int, float))
-                and int(self.horizon_days * 86400) >= 1):
-            raise ValueError(f"horizon_days must cover at least one second, "
-                             f"got {self.horizon_days!r}")
-        # parsed as month_windows parses it; an unquoted YAML date loads as a date
-        try:
-            datetime.fromisoformat(self.start_date)
-        except (TypeError, ValueError):
-            raise ValueError("start_date must be an ISO date string such as '2016-01-01', "
-                             f"got {self.start_date!r}") from None
+        super().__post_init__()
         bg = self.background
         if self.scenario in CLUSTER_RUNS and \
                 bool(bg.target_utilization) == (bg.trace_path is not None):

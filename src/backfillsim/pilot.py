@@ -11,32 +11,28 @@ latency on the node. Times are float seconds from the pilot's start.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Annotated, Literal, NamedTuple, Optional
 
 import numpy as np
 
-from .scheduler import BACKFILL, CAPABILITY, _is_count
+from .domains import Checked, NonNegative, NonNegativeInt, Positive, entries, is_int
+from .scheduler import BACKFILL, CAPABILITY
 
 DONE = "done"
 INCOMPLETE = "incomplete"
 
 
+PilotSizes = Annotated[tuple[int, ...], entries("a non-empty list of integers >= 1",
+                                                lambda nodes: is_int(nodes, 1))]
+
+
 @dataclass(frozen=True)
-class OverheadModel:
-    bootstrap_s: float = 180.0
-    dispatch_per_unit_s: float = 0.015
-    launch_per_unit_s: float = 0.1
-
-    def __post_init__(self):
-        for f in fields(OverheadModel):
-            value = getattr(self, f.name)
-            if not value >= 0:  # NaN too: with it, next_start() never reaches the walltime
-                raise ValueError(f"{f.name} must be non-negative, got {value}")
-
-
-_QUEUES = {"capability": CAPABILITY, "backfill": BACKFILL}
+class OverheadModel(Checked):
+    # a NaN makes next_start() never reach the walltime
+    bootstrap_s: NonNegative = 180.0
+    dispatch_per_unit_s: NonNegative = 0.015
+    launch_per_unit_s: NonNegative = 0.1
 
 
 @dataclass(frozen=True)
@@ -44,40 +40,17 @@ class PilotConfig(OverheadModel):
     """The `pilot` config section: the agent's overheads plus the shape of
     the pilot-scaling experiments (pilot sizes, units, queue)."""
 
-    unit_mean_s: float = 4650.0
-    unit_sd_s: float = 19.0
-    walltime_s: int = 7200
-    nodes_list: tuple[int, ...] = (250, 500, 1000, 2000)
-    units_per_node: int = 1
-    units_total: Optional[int] = None  # fixed total across sizes (strong scaling)
-    queue: str = "capability"  # or "backfill"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.walltime_s > 0:
-            raise ValueError(f"walltime_s must be positive, got {self.walltime_s}")
-        if not self.unit_mean_s > 0:
-            raise ValueError(f"unit_mean_s must be > 0, got {self.unit_mean_s}")
-        if not self.unit_sd_s >= 0:
-            raise ValueError(f"unit_sd_s must be >= 0, got {self.unit_sd_s}")
-        if math.inf in (self.unit_mean_s, self.unit_sd_s):  # both inf draw NaN units
-            raise ValueError(f"unit_mean_s and unit_sd_s must be finite, got "
-                             f"{self.unit_mean_s} and {self.unit_sd_s}")
-        if not _is_count(self.units_per_node, 0):
-            raise ValueError(f"units_per_node must be an integer >= 0, got {self.units_per_node!r}")
-        if not (self.units_total is None or _is_count(self.units_total, 0)):
-            raise ValueError(f"units_total must be an integer >= 0, got {self.units_total!r}")
-        if not self.nodes_list:
-            raise ValueError("nodes_list must list at least one pilot size")
-        if not all(_is_count(n, 1) for n in self.nodes_list):
-            raise ValueError(f"nodes_list entries must be integers >= 1, got {self.nodes_list!r}")
-        object.__setattr__(self, "nodes_list", tuple(self.nodes_list))
-        if self.queue not in _QUEUES:
-            raise ValueError(f"queue must be one of {tuple(_QUEUES)}, got {self.queue!r}")
+    unit_mean_s: Positive = 4650.0  # an infinite mean and sd draw NaN units
+    unit_sd_s: NonNegative = 19.0
+    walltime_s: Positive = 7200
+    nodes_list: PilotSizes = (250, 500, 1000, 2000)
+    units_per_node: NonNegativeInt = 1
+    units_total: Optional[NonNegativeInt] = None  # fixed total across sizes (strong scaling)
+    queue: Literal["capability", "backfill"] = "capability"
 
     @property
     def priority_class(self) -> str:
-        return _QUEUES[self.queue]
+        return CAPABILITY if self.queue == "capability" else BACKFILL
 
 
 class Unit(NamedTuple):

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Annotated, Callable, Iterable, Optional
 
+from .domains import Checked, Count, entries, is_int
 from .metrics import PollRecord
 from .simcore import SimEvent, SimTime, Simulation
 
@@ -43,39 +44,26 @@ class SubmitError(Exception):
     """Job rejected at submission (malformed or over policy caps)."""
 
 
-def _is_count(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+def _is_band(band) -> bool:
+    return isinstance(band, (list, tuple)) and len(band) == 2 and all(is_int(v, 1) for v in band)
+
+
+Bands = Annotated[tuple[tuple[int, int], ...], entries(
+    "a non-empty list of [max_nodes, cap_s] pairs of integers >= 1", _is_band)]
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(Checked):
     """Machine profile. The default mirrors a leadership-class system:
     18,688 nodes, 16 cores each, 2 h walltime cap for small lowest-priority
     jobs. Caps are (max_nodes_in_band, cap_seconds) pairs; a job falls in
     the first band whose node bound it does not exceed.
     """
 
-    total_nodes: int = 18688
-    cores_per_node: int = 16
-    backfill_caps: tuple[tuple[int, int], ...] = ((3749, 7200), (1 << 31, 86400))
-    capability_caps: tuple[tuple[int, int], ...] = (((1 << 31), 86400),)
-
-    def __post_init__(self):
-        for name in ("total_nodes", "cores_per_node"):
-            if not _is_count(getattr(self, name), 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
-        for name in ("backfill_caps", "capability_caps"):
-            bands = getattr(self, name)
-            if not bands:
-                raise ValueError(f"{name} must list at least one [max_nodes, cap_s] band")
-            for band in bands:
-                if not isinstance(band, (list, tuple)) or len(band) != 2:
-                    raise ValueError(f"{name} entries must be max_nodes, cap_s pairs, "
-                                     f"got {band!r}")
-                if not all(_is_count(value, 1) for value in band):
-                    raise ValueError(f"{name} entries must be integers >= 1, got "
-                                     f"max_nodes {band[0]!r}, cap_s {band[1]!r}")
-            object.__setattr__(self, name, tuple(tuple(band) for band in bands))
+    total_nodes: Count = 18688
+    cores_per_node: Count = 16
+    backfill_caps: Bands = ((3749, 7200), (1 << 31, 86400))
+    capability_caps: Bands = (((1 << 31), 86400),)
 
     def cap_for(self, nodes: int, priority_class: str) -> int:
         bands = self.backfill_caps if priority_class == BACKFILL else self.capability_caps

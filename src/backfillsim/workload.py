@@ -25,9 +25,11 @@ import math
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Annotated, Literal, Optional
 
 import numpy as np
+
+from .domains import Checked, Count, Domain, Positive, Text, is_int, is_real, real
 
 
 # ---------------------------------------------------------------------------
@@ -439,43 +441,33 @@ class SetupModel:
     ramdisk_event_read_s: int = 40
 
     def setup_seconds(self, setup_fs: str, setup_event_source: str) -> int:
-        if setup_fs not in ("shared", "readonly"):
-            raise ValueError(f"setup_fs must be 'shared' or 'readonly', got {setup_fs!r}")
-        if setup_event_source not in ("shared", "ramdisk"):
-            raise ValueError("setup_event_source must be 'shared' or 'ramdisk', "
-                             f"got {setup_event_source!r}")
+        """Setup plus event-read seconds; `WorkloadConfig` declares the modes' domains."""
         setup = self.shared_fs_setup_s if setup_fs == "shared" else self.readonly_fs_setup_s
         read = self.event_read_s if setup_event_source == "shared" else self.ramdisk_event_read_s
         return setup + read
 
 
 @dataclass(frozen=True)
-class WorkloadConfig:
+class WorkloadConfig(Checked):
     """The `workload` config section. Construction fits the payload's event
     model and builds its contention and setup models, so a bad key fails
     here rather than mid-run."""
 
-    event_mean_s: float = 840.0
-    event_sigma: float = 0.7
-    event_min_s: float = 120.0
-    event_max_s: float = 2400.0
-    calibrated_at: int = 16
-    contention_mean_8way_s: float = 648.0
-    contention_mean_16way_s: float = 855.0
-    setup_fs: str = "readonly"          # "shared" or "readonly"
-    setup_event_source: str = "ramdisk"  # "shared" or "ramdisk"
+    event_mean_s: Positive = 840.0
+    event_sigma: Positive = 0.7
+    event_min_s: Positive = 120.0
+    event_max_s: Positive = 2400.0
+    calibrated_at: Count = 16
+    contention_mean_8way_s: Positive = 648.0
+    contention_mean_16way_s: Positive = 855.0
+    setup_fs: Literal["shared", "readonly"] = "readonly"
+    setup_event_source: Literal["shared", "ramdisk"] = "ramdisk"
     payload_model: EventDurationModel = field(init=False, repr=False)
     contention: ContentionModel = field(init=False, repr=False)
     setup_s: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("event_sigma", "event_min_s", "contention_mean_8way_s",
-                     "contention_mean_16way_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("event_mean_s", "event_max_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        super().__post_init__()
         object.__setattr__(self, "payload_model", EventDurationModel.fit(
             self.event_mean_s, self.event_sigma, self.event_min_s, self.event_max_s,
             self.calibrated_at))
@@ -540,18 +532,12 @@ class IoProfile:
 
 
 @dataclass(frozen=True)
-class SimJobSpec:
+class SimJobSpec(Checked):
     """One multi-process payload on one node: `events` tasks over
     `slots_per_node` concurrent workers."""
 
-    events: int
-    slots_per_node: int
-
-    def __post_init__(self):
-        if self.events <= 0:
-            raise ValueError(f"events must be positive, got {self.events}")
-        if self.slots_per_node not in (8, 16):
-            raise ValueError(f"slots_per_node must be 8 or 16, got {self.slots_per_node}")
+    events: Count
+    slots_per_node: Literal[8, 16]
 
 
 _TRANSFORM_BLOCK = 2 ** 15  # uniforms per `model.transform` call in `job_makespans_batch`
@@ -727,8 +713,23 @@ class UnitDurationModel:
 # background capability load
 
 
+def _is_size_mix(mix) -> bool:
+    return isinstance(mix, (list, tuple)) and all(
+        isinstance(band, (list, tuple)) and len(band) == 3 and is_real(band[0])
+        and band[0] >= 0 and is_int(band[1], 1) and is_int(band[2], band[1]) for band in mix
+    ) and sum(w for w, _, _ in mix) > 0
+
+
+Utilization = Annotated[float, real("a number in [0, 1)", lambda u: 0 <= u < 1)]
+SizeMix = Annotated[tuple[tuple[float, int, int], ...], Domain(
+    "a list of [weight, lo, hi] bands: weights finite numbers >= 0, not all 0, "
+    "and integers 1 <= lo <= hi", _is_size_mix)]
+# the stream truncates runtimes to whole seconds, and a 0-s job has no walltime
+MinRuntime = Annotated[float, real("a finite number >= 1", lambda runtime: runtime >= 1)]
+
+
 @dataclass(frozen=True)
-class BackgroundLoadProfile:
+class BackgroundLoadProfile(Checked):
     """Poisson stream of capability jobs sized to a target utilization; the
     `background` config section.
 
@@ -739,41 +740,23 @@ class BackgroundLoadProfile:
     SWF job log that the cluster scenarios replay instead of the stream.
     """
 
-    target_utilization: Optional[float] = 0.965
-    trace_path: Optional[str] = None
-    size_mix: tuple[tuple[float, int, int], ...] = (
+    target_utilization: Optional[Utilization] = 0.965  # 0 or null: no stream
+    trace_path: Optional[Text] = None
+    size_mix: SizeMix = (
         (0.88, 1, 125),
         (0.09, 126, 312),
         (0.028, 313, 1500),
         (0.002, 1500, 6000),
     )
-    runtime_mean_s: float = 10800.0
-    runtime_sigma: float = 1.0
-    runtime_min_s: int = 600
-    runtime_max_s: int = 85000
-    walltime_factor_lo: float = 1.2
-    walltime_factor_hi: float = 2.0
+    runtime_mean_s: Positive = 10800.0
+    runtime_sigma: Positive = 1.0
+    runtime_min_s: MinRuntime = 600
+    runtime_max_s: Positive = 85000
+    walltime_factor_lo: Positive = 1.2
+    walltime_factor_hi: Positive = 2.0
 
     def __post_init__(self):
-        u = self.target_utilization
-        if u and not 0 < u < 1:
-            raise ValueError(f"target_utilization must be in (0, 1), got {u}")
-        object.__setattr__(self, "size_mix", tuple((float(w), int(lo), int(hi))
-                                                   for w, lo, hi in self.size_mix))
-        for w, lo, hi in self.size_mix:
-            if not 0 <= w < math.inf:
-                raise ValueError(f"size_mix weights must be finite and >= 0, got {w}")
-            if not 1 <= lo <= hi:
-                raise ValueError(f"size_mix bands need 1 <= lo <= hi, got lo {lo}, hi {hi}")
-        if not sum(w for w, _, _ in self.size_mix) > 0:
-            raise ValueError("size_mix weights must sum to > 0")
-        for name in ("runtime_mean_s", "runtime_sigma", "runtime_min_s", "runtime_max_s",
-                     "walltime_factor_lo", "walltime_factor_hi"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        # the stream truncates runtimes to whole seconds, and a 0-s job has no walltime
-        if self.runtime_min_s < 1:
-            raise ValueError(f"runtime_min_s must be >= 1, got {self.runtime_min_s}")
+        super().__post_init__()
         if self.runtime_min_s > self.runtime_max_s:
             raise ValueError(f"runtime_min_s {self.runtime_min_s} must be <= "
                              f"runtime_max_s {self.runtime_max_s}")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from backfillsim import (BrokerConfig, BrokerFleet, Bundle, ClusterConfig,
-                         EasyBackfillScheduler, FailureModel, ReplayScheduler,
+                         EasyBackfillScheduler, FailureMix, ReplayScheduler,
                          Simulation, WorkloadConfig, bundle_outcomes, stream_rng,
                          total_backfill_availability, window_report)
 from backfillsim.metrics import PollRecord
@@ -189,8 +189,9 @@ def test_every_payload_has_exactly_one_outcome():
 
 
 def test_failure_mix_must_sum_to_one():
-    with pytest.raises(ValueError):
-        FailureModel(failure_prob=0.1, failure_mix=(("a", 0.5), ("b", 0.6)))
+    # each share is in [0, 1]; their sum is the broker section's rule
+    with pytest.raises(ValueError, match="failure_mix must sum to 1"):
+        BrokerConfig(failure_mix=FailureMix(broker=0.5, dispatcher=0.6, payload=0, other=0))
 
 
 # -- efficiency ------------------------------------------------------------------

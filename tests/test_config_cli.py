@@ -1,8 +1,10 @@
 import datetime
 import hashlib
 import math
+import re
 import signal
 import tempfile
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from backfillsim import (DEFAULTS, BrokerFleet, ConfigError, PollRecord, ReplayS
                          ScenarioConfig, Simulation, config_hash, dump_defaults,
                          load_scenario_file, resolve_config, run_scenario)
 from backfillsim.cli import main
+from backfillsim.domains import declared
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -211,15 +214,28 @@ def test_every_entry_point_resolves_the_same_config():
     assert weak["pilot"]["unit_sd_s"] == 4.0  # the weak_scaling preset applies
 
 
+# the domain texts of the structured keys, each followed by the rejected value
+CAPS = " must be a non-empty list of [max_nodes, cap_s] pairs of integers >= 1, got "
+SIZE_MIX = ("background: size_mix must be a list of [weight, lo, hi] bands: weights finite "
+            "numbers >= 0, not all 0, and integers 1 <= lo <= hi, got ")
+
 BAD_INPUTS = [
     ({"broker": {"failure_prob": 1.5}}, "broker: failure_prob"),
     ({"pilot": {"bootstrap_s": -5}}, "pilot: bootstrap_s"),
-    ({"pilot": {"bootstrap_s": math.nan}}, "pilot: bootstrap_s must be non-negative, got nan"),
+    ({"pilot": {"bootstrap_s": math.nan}},
+     "pilot: bootstrap_s must be a finite number >= 0, got nan"),
     ({"broker": {"slots_per_node": 12}}, "broker: slots_per_node"),
     ({"workload": {"event_mean_s": 5000}}, "workload: event_mean_s"),
     ({"scenario": "weak_scaling", "pilot": {"queue": "capabilty"}}, "pilot: queue"),
     ({"pilot": {"nodes_list": [0]}}, "pilot: nodes_list"),
     ({"horizon_days": 1e-6}, "horizon_days"),
+    # inf and NaN once failed naming no key, and true ran one day
+    ({"horizon_days": math.inf},
+     "horizon_days must be a finite number of days covering at least one second, got inf"),
+    ({"horizon_days": math.nan},
+     "horizon_days must be a finite number of days covering at least one second, got nan"),
+    ({"horizon_days": True},
+     "horizon_days must be a finite number of days covering at least one second, got True"),
     ({"metrics": {"poll_interval_s": 0}}, "metrics: poll_interval_s"),
     # each of these once validated, then crashed the poller's first reschedule
     ({"metrics": {"poll_interval_s": math.inf}},
@@ -230,44 +246,52 @@ BAD_INPUTS = [
      "metrics: poll_interval_s must be an integer >= 1, got 1.5"),
     # once validated, and then the fleet declined every slot
     ({"broker": {"min_slot_walltime_s": math.nan}},
-     "broker: min_slot_walltime_s must be finite and >= 0, got nan"),
+     "broker: min_slot_walltime_s must be a finite number >= 0, got nan"),
     ({"broker": {"min_slot_walltime_s": math.inf}},
-     "broker: min_slot_walltime_s must be finite and >= 0, got inf"),
+     "broker: min_slot_walltime_s must be a finite number >= 0, got inf"),
     ({"cluster": {"cores_per_node": 1.5}}, "cluster: cores_per_node must be an integer >= 1"),
     ({"cluster": {"total_nodes": 1.5}}, "cluster: total_nodes must be an integer >= 1"),
     ({"broker": {"poll_interval_s": 0}}, "broker: poll_interval_s"),
     ({"scenario": "broker_vs_pilot", "compare": {"slot_nodes_mean": 0}},
      "compare: slot_nodes_mean"),
-    ({"workload": {"event_sigma": 0}}, "workload: event_sigma must be > 0, got 0"),
-    ({"workload": {"event_sigma": -0.5}}, "workload: event_sigma must be > 0, got -0.5"),
+    ({"workload": {"event_sigma": 0}}, "workload: event_sigma must be a finite number > 0, got 0"),
+    ({"workload": {"event_sigma": -0.5}},
+     "workload: event_sigma must be a finite number > 0, got -0.5"),
     ({"workload": {"event_sigma": 40}},
      "workload: event_sigma 40: no location fits event_mean_s 840.0"),
     ({"workload": {"event_sigma": 20}}, "workload: event_sigma 20: no location fits"),
-    ({"workload": {"event_sigma": math.inf}}, "workload: event_sigma inf: no location fits"),
-    ({"workload": {"event_min_s": 0}}, "workload: event_min_s must be > 0"),
+    ({"workload": {"event_sigma": math.inf}},
+     "workload: event_sigma must be a finite number > 0, got inf"),
+    ({"workload": {"event_min_s": 0}}, "workload: event_min_s must be a finite number > 0, got 0"),
     ({"workload": {"contention_mean_8way_s": 0}}, "workload: contention_mean_8way_s"),
+    # each of these once validated, then crashed mid-run
+    ({"workload": {"contention_mean_8way_s": math.inf}},
+     "workload: contention_mean_8way_s must be a finite number > 0, got inf"),
+    ({"workload": {"contention_mean_16way_s": math.inf}},
+     "workload: contention_mean_16way_s must be a finite number > 0, got inf"),
+    ({"workload": {"calibrated_at": math.nan}},
+     "workload: calibrated_at must be an integer >= 1, got nan"),
+    ({"workload": {"calibrated_at": "16"}},
+     "workload: calibrated_at must be an integer >= 1, got '16'"),
     ({"start_date": "2016-13-40"},
      "start_date must be an ISO date string such as '2016-01-01', got '2016-13-40'"),
     # unquoted in YAML, a date loads as a datetime.date
     ({"start_date": datetime.date(2016, 1, 1)},
      "start_date must be an ISO date string such as '2016-01-01', got datetime.date"),
-    ({"cluster": {"backfill_caps": []}}, "cluster: backfill_caps must list at least one"),
-    ({"cluster": {"capability_caps": []}}, "cluster: capability_caps must list at least one"),
+    ({"cluster": {"backfill_caps": []}}, "cluster: backfill_caps" + CAPS + "[]"),
+    ({"cluster": {"capability_caps": []}}, "cluster: capability_caps" + CAPS + "[]"),
     # these once ran with the bands cast to int (a NaN or inf failed naming no key)
     ({"cluster": {"backfill_caps": [[3749, 7200.5]]}},
-     "cluster: backfill_caps entries must be integers >= 1, got max_nodes 3749, cap_s 7200.5"),
+     "cluster: backfill_caps" + CAPS + "[[3749, 7200.5]]"),
     ({"cluster": {"capability_caps": [[1.5, 7200]]}},
-     "cluster: capability_caps entries must be integers >= 1, got max_nodes 1.5, cap_s 7200"),
+     "cluster: capability_caps" + CAPS + "[[1.5, 7200]]"),
     ({"cluster": {"backfill_caps": [[3749, math.nan]]}},
-     "cluster: backfill_caps entries must be integers >= 1, got max_nodes 3749, cap_s nan"),
+     "cluster: backfill_caps" + CAPS + "[[3749, nan]]"),
     ({"cluster": {"capability_caps": [[math.inf, 86400]]}},
-     "cluster: capability_caps entries must be integers >= 1, got max_nodes inf, cap_s 86400"),
-    ({"cluster": {"backfill_caps": [[0, 7200]]}},
-     "cluster: backfill_caps entries must be integers >= 1, got max_nodes 0, cap_s 7200"),
-    ({"cluster": {"backfill_caps": [[3749, 0]]}},
-     "cluster: backfill_caps entries must be integers >= 1, got max_nodes 3749, cap_s 0"),
-    ({"cluster": {"backfill_caps": [[3749]]}},
-     "cluster: backfill_caps entries must be max_nodes, cap_s pairs"),
+     "cluster: capability_caps" + CAPS + "[[inf, 86400]]"),
+    ({"cluster": {"backfill_caps": [[0, 7200]]}}, "cluster: backfill_caps" + CAPS + "[[0, 7200]]"),
+    ({"cluster": {"backfill_caps": [[3749, 0]]}}, "cluster: backfill_caps" + CAPS + "[[3749, 0]]"),
+    ({"cluster": {"backfill_caps": [[3749]]}}, "cluster: backfill_caps" + CAPS + "[[3749]]"),
     # -1 once validated and then failed inside numpy's SeedSequence mid-run
     ({"seed": -1}, "seed must be an integer >= 0, got -1"),
     ({"seed": True}, "seed must be an integer >= 0, got True"),
@@ -275,87 +299,103 @@ BAD_INPUTS = [
     ({"background": {"walltime_factor_lo": 2.5}},
      "background: walltime_factor_lo 2.5 must be <= walltime_factor_hi 2.0"),
     ({"background": {"walltime_factor_lo": 0}},
-     "background: walltime_factor_lo must be finite and > 0"),
+     "background: walltime_factor_lo must be a finite number > 0, got 0"),
     ({"background": {"runtime_min_s": 0}},
-     "background: runtime_min_s must be finite and > 0, got 0"),
-    ({"background": {"runtime_min_s": 0.5}}, "background: runtime_min_s must be >= 1, got 0.5"),
+     "background: runtime_min_s must be a finite number >= 1, got 0"),
+    ({"background": {"runtime_min_s": 0.5}},
+     "background: runtime_min_s must be a finite number >= 1, got 0.5"),
     ({"background": {"runtime_min_s": 90000}},
      "background: runtime_min_s 90000 must be <= runtime_max_s 85000"),
     ({"background": {"runtime_sigma": 0}},
-     "background: runtime_sigma must be finite and > 0, got 0"),
+     "background: runtime_sigma must be a finite number > 0, got 0"),
     ({"background": {"runtime_sigma": math.inf}},
-     "background: runtime_sigma must be finite and > 0, got inf"),
-    ({"background": {"runtime_mean_s": 0}}, "background: runtime_mean_s must be finite and > 0"),
+     "background: runtime_sigma must be a finite number > 0, got inf"),
+    ({"background": {"runtime_mean_s": 0}},
+     "background: runtime_mean_s must be a finite number > 0, got 0"),
     ({"background": {"walltime_factor_hi": math.inf}},
-     "background: walltime_factor_hi must be finite and > 0, got inf"),
-    ({"background": {"size_mix": [[0, 1, 125]]}}, "background: size_mix weights must sum to > 0"),
+     "background: walltime_factor_hi must be a finite number > 0, got inf"),
+    ({"background": {"size_mix": [[0, 1, 125]]}}, SIZE_MIX + "[[0, 1, 125]]"),
     ({"background": {"size_mix": [[1, 1, 125], [-0.5, 126, 312]]}},
-     "background: size_mix weights must be finite and >= 0, got -0.5"),
-    ({"background": {"size_mix": [[1, 0, 125]]}},
-     "background: size_mix bands need 1 <= lo <= hi, got lo 0, hi 125"),
-    ({"background": {"size_mix": [[1, 200, 125]]}},
-     "background: size_mix bands need 1 <= lo <= hi, got lo 200, hi 125"),
-    ({"workload": {"event_max_s": math.inf}}, "workload: event_max_s must be finite, got inf"),
-    ({"workload": {"event_mean_s": math.nan}}, "workload: event_mean_s must be finite, got nan"),
-    ({"pilot": {"unit_sd_s": -1}}, "pilot: unit_sd_s must be >= 0, got -1"),
-    ({"pilot": {"unit_mean_s": 0}}, "pilot: unit_mean_s must be > 0, got 0"),
-    ({"pilot": {"unit_mean_s": -100}}, "pilot: unit_mean_s must be > 0, got -100"),
-    ({"pilot": {"nodes_list": []}}, "pilot: nodes_list must list at least one pilot size"),
-    ({"pilot": {"nodes_list": [1.5]}}, "pilot: nodes_list entries must be integers >= 1"),
+     SIZE_MIX + "[[1, 1, 125], [-0.5, 126, 312]]"),
+    ({"background": {"size_mix": [[1, 0, 125]]}}, SIZE_MIX + "[[1, 0, 125]]"),
+    ({"background": {"size_mix": [[1, 200, 125]]}}, SIZE_MIX + "[[1, 200, 125]]"),
+    # the first four once ran as (1.0, 1, 125), and NaN or inf failed naming no key
+    ({"background": {"size_mix": [[1, 1.5, 125]]}}, SIZE_MIX + "[[1, 1.5, 125]]"),
+    ({"background": {"size_mix": [[1, 1, 125.7]]}}, SIZE_MIX + "[[1, 1, 125.7]]"),
+    ({"background": {"size_mix": [["1", 1, 125]]}}, SIZE_MIX + "[['1', 1, 125]]"),
+    ({"background": {"size_mix": [[True, 1, 125]]}}, SIZE_MIX + "[[True, 1, 125]]"),
+    ({"background": {"size_mix": [[1, math.nan, 125]]}}, SIZE_MIX + "[[1, nan, 125]]"),
+    ({"background": {"size_mix": [[1, 1, math.inf]]}}, SIZE_MIX + "[[1, 1, inf]]"),
+    ({"workload": {"event_max_s": math.inf}},
+     "workload: event_max_s must be a finite number > 0, got inf"),
+    ({"workload": {"event_mean_s": math.nan}},
+     "workload: event_mean_s must be a finite number > 0, got nan"),
+    ({"pilot": {"unit_sd_s": -1}}, "pilot: unit_sd_s must be a finite number >= 0, got -1"),
+    ({"pilot": {"unit_mean_s": 0}}, "pilot: unit_mean_s must be a finite number > 0, got 0"),
+    ({"pilot": {"unit_mean_s": -100}}, "pilot: unit_mean_s must be a finite number > 0, got -100"),
+    ({"pilot": {"nodes_list": []}},
+     "pilot: nodes_list must be a non-empty list of integers >= 1, got []"),
+    ({"pilot": {"nodes_list": [1.5]}},
+     "pilot: nodes_list must be a non-empty list of integers >= 1, got [1.5]"),
     ({"pilot": {"units_per_node": -1}}, "pilot: units_per_node must be an integer >= 0, got -1"),
     ({"pilot": {"units_per_node": 1.5}},
      "pilot: units_per_node must be an integer >= 0, got 1.5"),
-    ({"pilot": {"units_total": -5}}, "pilot: units_total must be an integer >= 0, got -5"),
-    ({"pilot": {"walltime_s": math.nan}}, "pilot: walltime_s must be positive, got nan"),
+    ({"pilot": {"units_total": -5}},
+     "pilot: units_total must be an integer >= 0 or null, got -5"),
+    ({"pilot": {"walltime_s": math.nan}}, "pilot: walltime_s must be a finite number > 0, got nan"),
     ({"pilot": {"unit_mean_s": math.inf}},
-     "pilot: unit_mean_s and unit_sd_s must be finite, got inf and 19.0"),
-    ({"pilot": {"unit_sd_s": math.inf}},
-     "pilot: unit_mean_s and unit_sd_s must be finite, got 4650.0 and inf"),
+     "pilot: unit_mean_s must be a finite number > 0, got inf"),
+    ({"pilot": {"unit_sd_s": math.inf}}, "pilot: unit_sd_s must be a finite number >= 0, got inf"),
     ({"broker": {"min_nodes_per_bundle": 0}},
      "broker: min_nodes_per_bundle must be an integer >= 1, got 0"),
-    ({"broker": {"job_limit": -5}}, "broker: job_limit must be an integer >= 0, got -5"),
-    ({"broker": {"stage_in_base_s": -1}}, "broker: stage_in_base_s must be >= 0, got -1"),
-    ({"broker": {"stage_in_per_gb_s": -40}}, "broker: stage_in_per_gb_s must be >= 0, got -40"),
-    ({"broker": {"stage_out_base_s": -1}}, "broker: stage_out_base_s must be >= 0, got -1"),
+    ({"broker": {"job_limit": -5}}, "broker: job_limit must be an integer >= 0 or null, got -5"),
+    ({"broker": {"stage_in_base_s": -1}},
+     "broker: stage_in_base_s must be a finite number >= 0, got -1"),
+    ({"broker": {"stage_in_per_gb_s": -40}},
+     "broker: stage_in_per_gb_s must be a finite number >= 0, got -40"),
+    ({"broker": {"stage_out_base_s": -1}},
+     "broker: stage_out_base_s must be a finite number >= 0, got -1"),
     ({"broker": {"stage_out_per_gb_s": -40}},
-     "broker: stage_out_per_gb_s must be >= 0, got -40"),
+     "broker: stage_out_per_gb_s must be a finite number >= 0, got -40"),
     ({"compare": {"slot_nodes_sigma": math.nan}},
-     "compare: slot_nodes_sigma must be finite and >= 0, got nan"),
+     "compare: slot_nodes_sigma must be a finite number >= 0, got nan"),
     ({"compare": {"slot_nodes_sigma": math.inf}},
-     "compare: slot_nodes_sigma must be finite and >= 0, got inf"),
+     "compare: slot_nodes_sigma must be a finite number >= 0, got inf"),
     ({"compare": {"slot_walltime_sigma": math.nan}},
-     "compare: slot_walltime_sigma must be finite and >= 0, got nan"),
+     "compare: slot_walltime_sigma must be a finite number >= 0, got nan"),
     ({"compare": {"slot_walltime_sigma": math.inf}},
-     "compare: slot_walltime_sigma must be finite and >= 0, got inf"),
+     "compare: slot_walltime_sigma must be a finite number >= 0, got inf"),
     ({"compare": {"slot_interval_s": math.nan}},
-     "compare: slot_interval_s must be finite and >= 0, got nan"),
+     "compare: slot_interval_s must be a finite number >= 0, got nan"),
     ({"compare": {"slot_nodes_mean": math.inf}},
-     "compare: slot_nodes_mean must be finite and > 0, got inf"),
+     "compare: slot_nodes_mean must be a finite number > 0, got inf"),
     ({"compare": {"slots": math.nan}}, "compare: slots must be an integer >= 0, got nan"),
     ({"compare": {"slots": 2.5}}, "compare: slots must be an integer >= 0, got 2.5"),
     ({"broker": {"n_brokers": 2.5}}, "broker: n_brokers must be an integer >= 1, got 2.5"),
-    ({"broker": {"slots_per_node": 8.0}},
-     "broker: slots_per_node must be an integer >= 1, got 8.0"),
+    ({"broker": {"slots_per_node": 8.0}}, "broker: slots_per_node must be one of (8, 16), got 8.0"),
     ({"broker": {"events_per_job": 10.5}},
      "broker: events_per_job must be an integer >= 1, got 10.5"),
     ({"broker": {"max_nodes_per_bundle": 20.5}},
      "broker: max_nodes_per_bundle must be an integer >= 1, got 20.5"),
-    ({"broker": {"job_limit": 20.5}}, "broker: job_limit must be an integer >= 0, got 20.5"),
-    ({"broker": {"job_limit": "20"}}, "broker: job_limit must be an integer >= 0, got '20'"),
-    ({"broker": {"stage_in_base_s": math.inf}}, "broker: stage_in_base_s must be finite, got inf"),
+    ({"broker": {"job_limit": 20.5}},
+     "broker: job_limit must be an integer >= 0 or null, got 20.5"),
+    ({"broker": {"job_limit": "20"}},
+     "broker: job_limit must be an integer >= 0 or null, got '20'"),
+    ({"broker": {"stage_in_base_s": math.inf}},
+     "broker: stage_in_base_s must be a finite number >= 0, got inf"),
     ({"broker": {"stage_out_per_gb_s": math.inf}},
-     "broker: stage_out_per_gb_s must be finite, got inf"),
+     "broker: stage_out_per_gb_s must be a finite number >= 0, got inf"),
     # the other shares still sum to 1
     ({"broker": {"failure_mix": {"broker": -0.5, "other": 1.08}}},
-     "broker: failure_mix.broker must be between 0 and 1, got -0.5"),
+     "broker.failure_mix: broker must be a number in [0, 1], got -0.5"),
     ({"broker": {"failure_mix": {"payload": math.nan}}},
-     "broker: failure_mix.payload must be between 0 and 1, got nan"),
+     "broker.failure_mix: payload must be a number in [0, 1], got nan"),
 ]
 
 
 @pytest.mark.parametrize("override,key", BAD_INPUTS, ids=[k for _, k in BAD_INPUTS])
 def test_model_checks_fire_at_load(tmp_path, capsys, override, key):
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
         resolve_config(override)
     path = write_yaml(tmp_path / "bad.yaml", override)
     assert main(["validate", str(path)]) == 2
@@ -386,10 +426,57 @@ def test_tree_needs_every_key():
         ScenarioConfig.from_dict({k: v for k, v in DEFAULTS.items() if k != "pilot"})
 
 
+def _leaf_keys(cls, path=()):
+    """(key path, owning section) of every leaf key under the section `cls`."""
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            yield from _leaf_keys(f.default_factory, path + (f.name,))
+        elif f.init:
+            yield path + (f.name,), cls
+
+
+def test_every_key_declares_its_domain():
+    # a key added without a domain would skip the load-time check
+    undeclared = [".".join(path) for path, cls in _leaf_keys(ScenarioConfig)
+                  if path[-1] not in dict(declared(cls))]
+    assert undeclared == []
+
+
+def _default(path):
+    value = DEFAULTS
+    for key in path:
+        value = value[key]
+    return value
+
+
+# every leaf key whose default is a number or null
+NUMERIC_KEYS = [path for path, _ in _leaf_keys(ScenarioConfig)
+                if _default(path) is None or type(_default(path)) in (int, float)]
+
+
+@pytest.mark.parametrize("path", NUMERIC_KEYS, ids=".".join)
+def test_a_numeric_key_resolves_or_is_named(path):
+    # a quoted number, a bool, NaN, inf, a negative and a fraction each either
+    # resolve or fail naming the key under its section
+    *sections, key = path
+    prefix = f"{'.'.join(sections)}: " if sections else ""
+    for value in ("7", True, math.nan, math.inf, -1, 1.5):
+        raw = value
+        for name in reversed(path):
+            raw = {name: raw}
+        try:
+            resolve_config(raw)
+        except ConfigError as err:
+            assert any(p.startswith(prefix) and key in p for p in err.problems), \
+                (value, err.problems)
+
+
 # the keys that reach `job_makespans_batch` and `consume_slot_pilot`, and
 # the pair of them that can be swapped
 PAYLOAD_KEYS = [("workload", "event_mean_s"), ("workload", "event_sigma"),
                 ("workload", "event_min_s"), ("workload", "event_max_s"),
+                ("workload", "calibrated_at"), ("workload", "contention_mean_8way_s"),
+                ("workload", "contention_mean_16way_s"),
                 ("broker", "events_per_job"), ("broker", "slots_per_node"),
                 ("pilot", "bootstrap_s"), ("pilot", "dispatch_per_unit_s"),
                 ("pilot", "launch_per_unit_s")]
@@ -425,13 +512,14 @@ def _validates_then_runs(raw, run=_run_scenario):
         signal.signal(signal.SIGALRM, previous)
 
 
-@given(st.lists(st.tuples(st.sampled_from(PAYLOAD_KEYS + [SWAP]), st.sampled_from([0, -1, 1])),
-                max_size=3))
+@given(st.lists(st.tuples(st.sampled_from(PAYLOAD_KEYS + [SWAP]),
+                          st.sampled_from([0, -1, 1, 1.5, math.inf, math.nan])), max_size=3))
+@example([(("workload", "contention_mean_8way_s"), math.inf)])  # once a ZeroDivisionError
 @settings(max_examples=200)
 def test_payload_config_that_validates_also_runs(edits):
     # three compare slots at seed 1, two of them accepted, so a valid draw
     # runs the broker bundle and every pilot generation; a key not edited
-    # keeps its default
+    # keeps its default, and each edit sets 0, -1, 1, 1.5, inf or NaN
     raw = {"scenario": "broker_vs_pilot", "horizon_days": 0.05, "compare": {"slots": 3},
            "workload": {}, "broker": {}, "pilot": {}}
     for edit, value in edits:
@@ -531,3 +619,27 @@ def test_broker_config_that_validates_also_runs(edits):
         else:
             raw["broker"][key] = value
     _validates_then_runs(raw, _run_one_broker)
+
+
+# the cluster and metrics keys an efficiency run reads
+CLUSTER_KEYS = [("cluster", "total_nodes"), ("cluster", "cores_per_node"),
+                ("metrics", "poll_interval_s")]
+CAP_KEYS = [("cluster", "backfill_caps"), ("cluster", "capability_caps")]
+CAP_BANDS = [[], [[3749]], [[3749, 7200.5]], [[0, 7200]], [[3749, math.nan]], [[1, 60]],
+             [[100, 3600], [1 << 31, 600]], [[1 << 31, 86400]]]
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.sampled_from(CLUSTER_KEYS), st.sampled_from([0, -1, 1, 1.5, math.inf, math.nan])),
+    st.tuples(st.sampled_from(CAP_KEYS), st.sampled_from(CAP_BANDS)),
+    st.tuples(st.just(("metrics", "availability_credit")),
+              st.sampled_from(["rate", "walltime", "Rate", 1]))), max_size=3))
+@settings(max_examples=200)
+def test_cluster_and_metrics_config_that_validates_also_runs(edits):
+    # a 0.01-day efficiency run (864 s) with up to three `cluster` or
+    # `metrics` keys set to 0, -1, 1, 1.5, inf or NaN, a malformed or
+    # tight list of cap bands, or a valid or misspelt credit mode
+    raw = {"scenario": "efficiency", "horizon_days": 0.01, "cluster": {}, "metrics": {}}
+    for (section, key), value in edits:
+        raw[section][key] = value
+    _validates_then_runs(raw)

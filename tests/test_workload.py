@@ -542,8 +542,11 @@ def test_setup_modes():
     assert s.setup_seconds(setup_fs="shared", setup_event_source="shared") == 6300 + 1320
     assert s.setup_seconds(setup_fs="readonly", setup_event_source="ramdisk") == 225 + 40
     assert s.readonly_fs_setup_s < s.shared_fs_setup_s
-    with pytest.raises(ValueError):
-        s.setup_seconds(setup_fs="nfs", setup_event_source="ramdisk")
+    # the modes are config keys, checked when the workload section is built
+    with pytest.raises(ValueError, match="setup_fs must be one of"):
+        WorkloadConfig(setup_fs="nfs")
+    with pytest.raises(ValueError, match="setup_event_source must be one of"):
+        WorkloadConfig(setup_event_source="nfs")
 
 
 def test_io_profile_means_and_clipping():
