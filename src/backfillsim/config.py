@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass, field, fields, is_dataclass
-from datetime import datetime
+from datetime import date
 from pathlib import Path
 from typing import Annotated, Literal, Optional
 
@@ -83,9 +83,10 @@ class MetricsConfig(Checked):
 
 
 def _is_iso_date(value) -> bool:
-    # parsed as month_windows parses it; an unquoted YAML date loads as a date
+    # month_windows puts each boundary at the start date's time of day, so
+    # the date has none; an unquoted YAML date loads as a date, not a string
     try:
-        datetime.fromisoformat(value)
+        date.fromisoformat(value)
     except (TypeError, ValueError):
         return False
     return True

@@ -278,6 +278,9 @@ BAD_INPUTS = [
     # unquoted in YAML, a date loads as a datetime.date
     ({"start_date": datetime.date(2016, 1, 1)},
      "start_date must be an ISO date string such as '2016-01-01', got datetime.date"),
+    # once validated, and then each month window began at noon
+    ({"start_date": "2016-01-15T12:00"},
+     "start_date must be an ISO date string such as '2016-01-01', got '2016-01-15T12:00'"),
     ({"cluster": {"backfill_caps": []}}, "cluster: backfill_caps" + CAPS + "[]"),
     ({"cluster": {"capability_caps": []}}, "cluster: capability_caps" + CAPS + "[]"),
     # these once ran with the bands cast to int (a NaN or inf failed naming no key)
